@@ -1010,6 +1010,58 @@ func BenchmarkTrainFrom_MultiScenario(b *testing.B) {
 	b.ReportMetric(float64(2*2*replayBenchMembers*replayBenchSteps)*float64(b.N)/b.Elapsed().Seconds(), "fields/s")
 }
 
+// liveSeriesBench caches BenchmarkEmulator_LiveSeries's model across the
+// benchmark function's b.N calibration calls.
+var liveSeriesBench struct {
+	once  sync.Once
+	model *exaclim.Model
+	err   error
+}
+
+// BenchmarkEmulator_LiveSeries is the cost a cold live what-if query
+// pays: one full-horizon Model.EmulateUnder (256 kept steps after the VAR
+// burn-in) — the call serve's liveRange makes — on the model of
+// benchmark/'s live-whatif row: L = 16, P = 2 on the L = 16 grid, two
+// lag decays. us/step is per kept step; allocations are one field per
+// step plus the run's fixed scratch. It is the explanation of that row's
+// req_per_s, whose handler time is 97.6% this loop.
+func BenchmarkEmulator_LiveSeries(b *testing.B) {
+	liveSeriesBench.once.Do(func() {
+		gen, err := exaclim.NewSynthetic(exaclim.SyntheticConfig{
+			Grid: exaclim.GridForBandLimit(16), L: 16, Seed: 5, StartYear: 1990, StepsPerDay: 1,
+		})
+		if err != nil {
+			liveSeriesBench.err = err
+			return
+		}
+		liveSeriesBench.model, liveSeriesBench.err = exaclim.Train(
+			[][]exaclim.Field{gen.Run(2 * exaclim.DaysPerYear)}, gen.AnnualRF(15, 3), 15,
+			exaclim.Config{
+				L: 16, P: 2, Variant: exaclim.DPHP, SenderConvert: true,
+				Trend: exaclim.TrendOptions{StepsPerYear: exaclim.DaysPerYear, K: 2, RhoGrid: []float64{0.5, 0.85}},
+			})
+	})
+	if liveSeriesBench.err != nil {
+		b.Fatal(liveSeriesBench.err)
+	}
+	model := liveSeriesBench.model
+	rf := model.Trend.AnnualRF()
+	whatIf := make([]float64, len(rf))
+	for i, v := range rf {
+		whatIf[i] = v + 2
+	}
+	const steps = 256
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := model.EmulateUnderForEach(whatIf, exaclim.MemberSeed(1, i, 0), 0, steps, func(int, exaclim.Field) {})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N*steps), "us/step")
+}
+
 // BenchmarkServe_WhatIf times what-if serving: point time series on a
 // live scenario whose forcing pathway is absent from the archive. The
 // first query emulates and caches the series; steady state measures the

@@ -300,6 +300,7 @@ func TrainFromSet(src source.Ensemble, set forcing.Set, lead int, cfg Config) (*
 		nug := make([]float64, grid.Points())
 		nuggetPart[g] = nug
 		seqPlan := plan.Sequential()
+		var mean trend.Step
 		var cur source.Cursor
 		curR := -1
 		defer func() {
@@ -327,7 +328,8 @@ func TrainFromSet(src source.Ensemble, set forcing.Set, lead int, cfg Config) (*
 			// Standardize against the realization's own pathway: mixed
 			// historical + projection members each subtract the mean
 			// trend of the forcing that drove them.
-			fit.PathwayStandardizeInto(assign[r], z, z, t)
+			fit.StepAt(assign[r], t, &mean)
+			mean.Standardize(z, z)
 			coeffs := seqPlan.Analyze(z)
 			coeffs.PackReal(packed[r][t])
 			seqPlan.SynthesizeInto(recon, coeffs)
@@ -489,23 +491,35 @@ func (m *Model) nuggetSD() []float64 {
 // both running the same number of pre-emission RNG draws.
 func (m *Model) burnIn() int { return 10*m.VAR.P + 50 }
 
-// emulateStream is the serial generation core of Section III-B: run the
-// VAR with innovations xi = V eta, inverse-transform each spectral
-// state, add the nugget, and restore the deterministic component from
-// fit (which may carry scenario forcing). Each step gets a freshly
-// allocated field. Output depends only on (seed, t0, fit), never on plan
-// scheduling; the ensemble engine reproduces it batch-wise via
-// varm.SimulateBatch.
+// generateStep is the one generation step of Section III-B, shared by
+// the serial path and the ensemble engine: inverse-transform the packed
+// spectral state, add the nugget drawn from the member's rng, and restore
+// the deterministic component mean (which may carry scenario forcing)
+// into out. coeffs is caller-owned scratch; nothing is allocated.
+func generateStep(plan *sht.Plan, coeffs sht.Coeffs, packed []float64, nug []float64, rng *rand.Rand, mean *trend.Step, out sphere.Field) {
+	plan.SynthesizeInto(out, sht.UnpackRealInto(coeffs, packed))
+	for pix := range out.Data {
+		out.Data[pix] += nug[pix] * rng.NormFloat64()
+	}
+	mean.Unstandardize(out)
+}
+
+// emulateStream is the serial generation core: run the VAR with
+// innovations xi = V eta and turn each spectral state into a temperature
+// field with generateStep. The only allocation per step is the field
+// handed to fn, which may retain it. Output depends only on (seed, t0,
+// fit), never on plan scheduling; the ensemble engine reproduces it
+// batch-wise via varm.SimulateBatch.
 func (m *Model) emulateStream(plan *sht.Plan, fit *trend.Fit, seed int64, t0, T int, fn func(t int, f sphere.Field)) {
 	rng := rand.New(rand.NewSource(seed))
 	v := m.dense()
 	nug := m.nuggetSD()
+	coeffs := sht.NewCoeffs(m.Cfg.L)
+	var mean trend.Step
 	m.VAR.Simulate(v, rng, m.burnIn(), T, func(t int, f []float64) {
-		field := plan.Synthesize(sht.UnpackReal(f))
-		for pix := range field.Data {
-			field.Data[pix] += nug[pix] * rng.NormFloat64()
-		}
-		fit.Unstandardize(field, t0+t)
+		field := sphere.NewField(m.Grid)
+		fit.StepAt(0, t0+t, &mean)
+		generateStep(plan, coeffs, f, nug, rng, &mean, field)
 		fn(t, field)
 	})
 }

@@ -59,9 +59,9 @@ func MemberSeed(base int64, member, scenario int) int64 {
 	return int64(x)
 }
 
-// ensembleScratch bundles the per-worker synthesis buffers of the
-// ensemble engine: a packed coefficient column gathered from the batched
-// state matrix plus the spectral and spatial scratch of a synthesis.
+// ensembleScratch bundles the per-worker buffers of the ensemble engine:
+// a packed coefficient column gathered from the batched state matrix
+// plus the spectral scratch and output field of generateStep.
 type ensembleScratch struct {
 	packed []float64
 	coeffs sht.Coeffs
@@ -133,7 +133,11 @@ func (m *Model) EmulateEnsemble(spec EnsembleSpec, emit func(member, scenario, t
 			rngs[member] = rand.New(rand.NewSource(MemberSeed(spec.BaseSeed, member, s)))
 		}
 		fit := fits[s]
+		var mean trend.Step
 		m.VAR.SimulateBatch(v, rngs, burn, spec.Steps, func(t int, states *linalg.Matrix) {
+			// The deterministic component depends on (scenario, t) only:
+			// built once per step, read by every member's worker.
+			fit.StepAt(0, spec.T0+t, &mean)
 			par.ForNWorker(spec.Workers, M, func(g, member int) {
 				scr := scratch[g]
 				if scr == nil {
@@ -147,12 +151,7 @@ func (m *Model) EmulateEnsemble(spec EnsembleSpec, emit func(member, scenario, t
 				for d := 0; d < dim; d++ {
 					scr.packed[d] = states.Data[d*M+member]
 				}
-				seqPlan.SynthesizeInto(scr.field, sht.UnpackRealInto(scr.coeffs, scr.packed))
-				rng := rngs[member]
-				for pix := range scr.field.Data {
-					scr.field.Data[pix] += nug[pix] * rng.NormFloat64()
-				}
-				fit.Unstandardize(scr.field, spec.T0+t)
+				generateStep(seqPlan, scr.coeffs, scr.packed, nug, rngs[member], &mean, scr.field)
 				emit(member, s, t, scr.field)
 			})
 		})

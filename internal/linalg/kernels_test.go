@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -367,6 +368,95 @@ func TestLowerMulVecInPlace(t *testing.T) {
 	}
 }
 
+// lowerMulVecRef is the one-row LowerMulVec loop the blocked kernel
+// replaced, kept verbatim as the bit-identity reference.
+func lowerMulVecRef(m *Matrix, x, y []float64) {
+	n := m.Rows
+	for i := n - 1; i >= 0; i-- {
+		row := m.Data[i*m.Cols : i*m.Cols+i+1]
+		var sum float64
+		for j, v := range row {
+			sum += v * x[j]
+		}
+		y[i] = sum
+	}
+}
+
+// randLower returns an n x n lower-triangular matrix with a few explicit
+// zeros inside the triangle.
+func randLower(rng *rand.Rand, n int) *Matrix {
+	l := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			l.Set(i, j, rng.NormFloat64())
+		}
+	}
+	for i := 2; i < n; i += 3 {
+		l.Set(i, i/2, 0)
+	}
+	return l
+}
+
+// TestLowerMulVecBitIdenticalToOneRowLoop pins the blocked kernel to the
+// retired loop bit for bit — every MemberSeed's output hangs on it — at
+// sizes around the 4-row block edge, aliased and not.
+func TestLowerMulVecBitIdenticalToOneRowLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257} {
+		l := randLower(rng, n)
+		x := randSlice(rng, n)
+		want := make([]float64, n)
+		lowerMulVecRef(l, x, want)
+		got := make([]float64, n)
+		l.LowerMulVec(x, got)
+		aliased := append([]float64(nil), x...)
+		l.LowerMulVec(aliased, aliased)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: y[%d] = %x, one-row loop gives %x", n, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+			if math.Float64bits(aliased[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d aliased: y[%d] = %x, one-row loop gives %x", n, i, math.Float64bits(aliased[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+// TestLowerMulMatColumnBlocks pins LowerMulMat's register-blocked columns
+// (full blocks of 8, the scalar tail, and both together) to column-wise
+// LowerMulVec bit for bit.
+func TestLowerMulMatColumnBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{5, 70} {
+		for _, cols := range []int{1, 7, 8, 9, 16} {
+			l := randLower(rng, n)
+			x := NewMatrix(n, cols)
+			for i := range x.Data {
+				x.Data[i] = rng.NormFloat64()
+			}
+			y := NewMatrix(n, cols)
+			for i := range y.Data {
+				y.Data[i] = math.NaN() // the kernel must overwrite, not accumulate
+			}
+			l.LowerMulMat(x, y)
+			col := make([]float64, n)
+			ref := make([]float64, n)
+			for c := 0; c < cols; c++ {
+				for i := 0; i < n; i++ {
+					col[i] = x.At(i, c)
+				}
+				l.LowerMulVec(col, ref)
+				for i := 0; i < n; i++ {
+					if math.Float64bits(ref[i]) != math.Float64bits(y.At(i, c)) {
+						t.Fatalf("n=%d cols=%d: element (%d,%d) = %x, LowerMulVec gives %x",
+							n, cols, i, c, math.Float64bits(y.At(i, c)), math.Float64bits(ref[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSyrkAccumulateMatchesOuterProduct(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -438,4 +528,38 @@ func benchPotrf(b *testing.B, n int) {
 	}
 	flops := float64(n) * float64(n) * float64(n) / 3
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+}
+
+// The generation step's two products: xi = V eta for one member
+// (LowerMulVec) and for 8 members at once (LowerMulMat), at the L = 16
+// and L = 32 covariance dimensions.
+func BenchmarkLinalg_LowerMulVec(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			l := randLower(rng, n)
+			x := randSlice(rng, n)
+			y := make([]float64, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.LowerMulVec(x, y)
+			}
+		})
+	}
+}
+
+func BenchmarkLinalg_LowerMulMat(b *testing.B) {
+	const cols = 8
+	for _, n := range []int{256, 1024} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			l := randLower(rng, n)
+			x := &Matrix{Rows: n, Cols: cols, Data: randSlice(rng, n*cols)}
+			y := NewMatrix(n, cols)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.LowerMulMat(x, y)
+			}
+		})
+	}
 }

@@ -139,11 +139,42 @@ func (m *Matrix) Cholesky() error {
 }
 
 // LowerMulVec computes y = L x for the lower-triangular matrix, the
-// sampling step xi = V eta of the emulator.
+// sampling step xi = V eta of the emulator. Rows are taken four at a time
+// from the bottom up: each row keeps its own accumulator and adds its
+// products in ascending-j order (so y is bit-identical to a one-row
+// loop), the four independent add chains overlap, and x[j] is loaded once
+// per block. A block's sums are stored only after all four are complete
+// and rows above it read only x[j] with j below the block, which is what
+// makes the aliased call LowerMulVec(x, x) safe.
 func (m *Matrix) LowerMulVec(x, y []float64) {
-	n := m.Rows
-	for i := n - 1; i >= 0; i-- {
-		row := m.Data[i*m.Cols : i*m.Cols+i+1]
+	ld := m.Cols
+	i := m.Rows
+	for ; i >= 4; i -= 4 {
+		// Rows i-4 .. i-1 share columns [0, w); row i-4+r has r more.
+		w := i - 3
+		r0 := m.Data[(i-4)*ld : (i-4)*ld+w]
+		r1 := m.Data[(i-3)*ld : (i-3)*ld+w+1]
+		r2 := m.Data[(i-2)*ld : (i-2)*ld+w+2]
+		r3 := m.Data[(i-1)*ld : (i-1)*ld+w+3]
+		xs := x[:w+3]
+		var s0, s1, s2, s3 float64
+		for j, v := range r0 {
+			xj := xs[j]
+			s0 += v * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		s1 += r1[w] * xs[w]
+		s2 += r2[w] * xs[w]
+		s3 += r3[w] * xs[w]
+		s2 += r2[w+1] * xs[w+1]
+		s3 += r3[w+1] * xs[w+1]
+		s3 += r3[w+2] * xs[w+2]
+		y[i-1], y[i-2], y[i-3], y[i-4] = s3, s2, s1, s0
+	}
+	for i--; i >= 0; i-- {
+		row := m.Data[i*ld : i*ld+i+1]
 		var sum float64
 		for j, v := range row {
 			sum += v * x[j]
@@ -157,8 +188,10 @@ func (m *Matrix) LowerMulVec(x, y []float64) {
 // engine, one matrix-matrix product per VAR step instead of M LowerMulVec
 // calls. Each output element accumulates products in ascending-j order,
 // exactly like LowerMulVec, so column c of Y is bitwise identical to
-// LowerMulVec applied to column c of X. Rows are independent, so the
-// kernel parallelizes over row blocks deterministically.
+// LowerMulVec applied to column c of X. A row's sums are held in locals
+// eight columns at a time and stored once, instead of a load-add-store on
+// Y per product. Rows are independent, so the kernel parallelizes over
+// row blocks deterministically.
 func (m *Matrix) LowerMulMat(x, y *Matrix) {
 	n := m.Rows
 	if m.Cols != n {
@@ -172,15 +205,31 @@ func (m *Matrix) LowerMulMat(x, y *Matrix) {
 	par.ForBlocks(0, n, blockSize, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			yi := y.Data[i*cols : (i+1)*cols]
-			for c := range yi {
-				yi[c] = 0
-			}
 			row := m.Data[i*m.Cols : i*m.Cols+i+1]
-			for j, lv := range row {
-				xj := x.Data[j*cols : (j+1)*cols]
-				for c, xv := range xj {
-					yi[c] += lv * xv
+			c := 0
+			for ; c+8 <= cols; c += 8 {
+				var a0, a1, a2, a3, a4, a5, a6, a7 float64
+				for j, lv := range row {
+					xj := x.Data[j*cols+c : j*cols+c+8]
+					a0 += lv * xj[0]
+					a1 += lv * xj[1]
+					a2 += lv * xj[2]
+					a3 += lv * xj[3]
+					a4 += lv * xj[4]
+					a5 += lv * xj[5]
+					a6 += lv * xj[6]
+					a7 += lv * xj[7]
 				}
+				yc := yi[c : c+8]
+				yc[0], yc[1], yc[2], yc[3] = a0, a1, a2, a3
+				yc[4], yc[5], yc[6], yc[7] = a4, a5, a6, a7
+			}
+			for ; c < cols; c++ {
+				var sum float64
+				for j, lv := range row {
+					sum += lv * x.Data[j*cols+c]
+				}
+				yi[c] = sum
 			}
 		}
 	})

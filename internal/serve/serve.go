@@ -425,7 +425,7 @@ func (s *Server) field(ctx context.Context, member, scenario, t int) ([]float64,
 	key := cacheKey{live: s.isLive(scenario), member: member, scenario: scenario, t: t}
 	if key.live {
 		return s.cache.getOrLoad(ctx, key, func() ([]float64, error) {
-			return s.loadLiveField(ctx, member, scenario, t)
+			return s.loadLiveField(ctx, member, scenario, t, t+1, nil)
 		})
 	}
 	return s.cache.getOrLoad(ctx, key, func() ([]float64, error) {
@@ -526,22 +526,27 @@ func (s *Server) loadArchiveFieldF32(ctx context.Context, member, scenario, t in
 	return out, nil
 }
 
-// loadLiveField emulates (member, scenario) from step 0 through t under
-// the scenario's forcing pathway (its what-if pathway when one is
-// assigned, else the training forcing) — VAR generation is sequential,
-// so reaching step t costs O(t) — and opportunistically caches every
-// step generated on the way (earlier steps become cache hits; series
-// queries exploit this by fetching their last step first, so a whole
-// range costs one run). Coalescing still holds: concurrent requests for
-// one step share a single run.
-func (s *Server) loadLiveField(ctx context.Context, member, scenario, t int) ([]float64, error) {
+// loadLiveField is the one emulation run behind every live answer: it
+// generates (member, scenario) from step 0 up to t1 under the scenario's
+// forcing pathway (its what-if pathway when one is assigned, else the
+// training forcing) and returns step t's field, t < t1. VAR generation is
+// sequential, so the run costs O(t1) whatever t is; every other step it
+// generates is cached on the way, which turns later queries for them into
+// hits for as long as they stay resident. each, when non-nil, is handed
+// steps t .. t1-1 as they are generated — how a series query is answered
+// from the run itself (liveRange). Coalescing holds as for any load:
+// concurrent requests for step t share this run.
+func (s *Server) loadLiveField(ctx context.Context, member, scenario, t, t1 int, each func(t int, data []float64)) ([]float64, error) {
 	s.liveLoads.Add(1)
 	et := beginStage(ctx, stageEmulate)
 	defer et.end()
-	et.attr("steps", int64(t+1))
+	et.attr("steps", int64(t1))
 	seed := emulator.MemberSeed(s.cfg.BaseSeed, member, scenario)
 	var want []float64
-	err := s.model.EmulateUnderForEach(s.liveRF(scenario), seed, s.cfg.LiveT0, t+1, func(tt int, f sphere.Field) {
+	err := s.model.EmulateUnderForEach(s.liveRF(scenario), seed, s.cfg.LiveT0, t1, func(tt int, f sphere.Field) {
+		if tt >= t && each != nil {
+			each(tt, f.Data)
+		}
 		if tt == t {
 			want = f.Data
 			return
@@ -554,6 +559,40 @@ func (s *Server) loadLiveField(ctx context.Context, member, scenario, t int) ([]
 		return nil, err
 	}
 	return want, nil
+}
+
+// liveRange hands fn the emulated field of every step in [t0, t1) of a
+// live (member, scenario), in ascending order, running at most one
+// emulation to do so. Steps are served from the cache while they are
+// resident; the first one that is not makes this query emulate [0, t1)
+// once, and the rest of the range reaches fn from that run as it is
+// generated — never from cache residency, which a cache smaller than the
+// series cannot promise (the run's later steps evict its earlier ones,
+// and an LRU can hold a series' last step without its first). fn must
+// not retain or modify data.
+func (s *Server) liveRange(ctx context.Context, member, scenario, t0, t1 int, fn func(t int, data []float64)) error {
+	ct := beginStage(ctx, stageCache)
+	defer ct.end()
+	ctx = ct.ctx(ctx) // the emulate stage nests under the cache span
+	t, ran := t0, false
+	load := func() ([]float64, error) {
+		ran = true
+		return s.loadLiveField(ctx, member, scenario, t, t1, fn)
+	}
+	for ; t < t1; t++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		data, err := s.cache.getOrLoad(ctx, cacheKey{live: true, member: member, scenario: scenario, t: t}, load)
+		if err != nil {
+			return err
+		}
+		if ran {
+			return nil // the run fed fn steps t .. t1-1
+		}
+		fn(t, data)
+	}
+	return nil
 }
 
 // angles converts a geographic (lat, lon) in degrees to (colatitude,
@@ -590,21 +629,11 @@ func (s *Server) PointSeries(ctx context.Context, member, scenario int, lat, lon
 	s.requests.Add(1)
 	out := make([]float64, t1-t0)
 	if s.isLive(scenario) {
-		// Fetch the last step first: its miss emulates [0, t1) in one
-		// run and caches every earlier step, so the ascending loop below
-		// is all cache hits instead of one re-emulation per step.
-		if _, err := s.field(ctx, member, scenario, t1-1); err != nil {
-			return nil, err
-		}
-		for t := t0; t < t1; t++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			data, err := s.field(ctx, member, scenario, t)
-			if err != nil {
-				return nil, err
-			}
+		err := s.liveRange(ctx, member, scenario, t0, t1, func(t int, data []float64) {
 			out[t-t0] = bilinear(s.h.Grid, data, theta, phi)
+		})
+		if err != nil {
+			return nil, err
 		}
 		return out, nil
 	}
@@ -709,21 +738,13 @@ func (s *Server) PointsSeries(ctx context.Context, member, scenario int, lats, l
 		out[p] = make([]float64, t1-t0)
 	}
 	if s.isLive(scenario) {
-		// As in PointSeries: warm the series with one emulation run.
-		if _, err := s.field(ctx, member, scenario, t1-1); err != nil {
-			return nil, err
-		}
-		for t := t0; t < t1; t++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			data, err := s.field(ctx, member, scenario, t)
-			if err != nil {
-				return nil, err
-			}
+		err := s.liveRange(ctx, member, scenario, t0, t1, func(t int, data []float64) {
 			for p := range out {
 				out[p][t-t0] = bilinear(s.h.Grid, data, thetas[p], phis[p])
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 		return out, nil
 	}
@@ -831,18 +852,7 @@ func (s *Server) BoxSeries(ctx context.Context, member, scenario int, box Box, t
 	out := make([]float64, t1-t0)
 
 	if s.isLive(scenario) {
-		// As in PointSeries: warm the series with one emulation run.
-		if _, err := s.field(ctx, member, scenario, t1-1); err != nil {
-			return nil, err
-		}
-		for t := t0; t < t1; t++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			data, err := s.field(ctx, member, scenario, t)
-			if err != nil {
-				return nil, err
-			}
+		err := s.liveRange(ctx, member, scenario, t0, t1, func(t int, data []float64) {
 			sum := 0.0
 			for _, i := range rings {
 				row := data[i*s.h.Grid.NLon:]
@@ -851,6 +861,9 @@ func (s *Server) BoxSeries(ctx context.Context, member, scenario int, box Box, t
 				}
 			}
 			out[t-t0] = sum / wsum
+		})
+		if err != nil {
+			return nil, err
 		}
 		return out, nil
 	}

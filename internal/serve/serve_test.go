@@ -723,8 +723,8 @@ func TestHTTPErrorClassification(t *testing.T) {
 }
 
 // TestLiveSeriesSingleRun pins that a live point/box series costs one
-// emulation run, not one per step: the series prefetches its last step,
-// whose load caches everything before it.
+// emulation run, not one per step: liveRange answers the whole range from
+// the run its first miss starts.
 func TestLiveSeriesSingleRun(t *testing.T) {
 	model := liveModel(t)
 	r := buildArchive(t, model.Grid, fixL)
@@ -748,6 +748,144 @@ func TestLiveSeriesSingleRun(t *testing.T) {
 	if st := s.Stats(); st.LiveLoads != 2 {
 		t.Fatalf("live box series on a fresh member ran %d total emulations, want 2", st.LiveLoads)
 	}
+}
+
+// TestLiveSeriesHalfEvicted is the regression test for the O(t^2) live
+// series: under a cache that holds half of one live series, an LRU keeps
+// a series' last steps and drops its first ones. The retired series loops
+// fetched step t1-1 first and then assumed every earlier step resident,
+// so each evicted step re-emulated from 0 — one run per missing step.
+// liveRange runs at most one emulation per query and answers from that
+// run, so every query here, cold or half-evicted, point, multi-point or
+// box, costs exactly one live load and matches Model.EmulateUnder to the
+// byte.
+func TestLiveSeriesHalfEvicted(t *testing.T) {
+	model := liveModel(t)
+	r := buildArchive(t, model.Grid, fixL)
+	grid := model.Grid
+	const steps, baseSeed = 12, 31
+	rf := model.Trend.AnnualRF()
+	whatIf := make([]float64, len(rf))
+	for i, v := range rf {
+		whatIf[i] = v + 1.5
+	}
+	// One shard, so LRU order is exact. CacheBytes is split evenly between
+	// the f64 and f32 caches: the f64 half holds steps/2 fields.
+	s, err := New(r, model, Config{
+		CacheBytes: int64(steps * grid.Points() * 8), CacheShards: 1,
+		LiveSteps: steps, BaseSeed: baseSeed,
+		LivePathways: []forcing.Pathway{{Name: "whatif", Annual: whatIf}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveScen := r.Header().Scenarios
+	ctx := context.Background()
+	want, err := model.EmulateUnder(whatIf, emulator.MemberSeed(baseSeed, 0, liveScen), 0, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := func(member, step int) bool {
+		sh := &s.cache.shards[0]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		_, ok := sh.entries[cacheKey{live: true, member: member, scenario: liveScen, t: step}]
+		return ok
+	}
+	// oneLoad runs a query and requires that it cost exactly one emulation.
+	oneLoad := func(name string, query func() error) {
+		t.Helper()
+		before := s.Stats().LiveLoads
+		if err := query(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats().LiveLoads - before; got != 1 {
+			t.Fatalf("%s ran %d emulations, want exactly 1", name, got)
+		}
+	}
+
+	lats, lons := []float64{-40, 0, 61.7}, []float64{12, 200, 340}
+	thetas, phis := make([]float64, len(lats)), make([]float64, len(lats))
+	for p := range lats {
+		if thetas[p], phis[p], err = angles(lats[p], lons[p]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkPoint := func(name string, got []float64, p int) {
+		t.Helper()
+		for ts := range got {
+			if w := bilinear(grid, want[ts].Data, thetas[p], phis[p]); math.Float64bits(got[ts]) != math.Float64bits(w) {
+				t.Fatalf("%s point %d t=%d: served %g, EmulateUnder gives %g", name, p, ts, got[ts], w)
+			}
+		}
+	}
+
+	// Cold: the run itself evicts its first half on the way.
+	oneLoad("cold point series", func() error {
+		got, err := s.PointSeries(ctx, 0, liveScen, lats[0], lons[0], 0, steps)
+		checkPoint("cold", got, 0)
+		return err
+	})
+	// A range whose steps are all resident costs no emulation at all (and
+	// makes the series' tail the most recently used part of it).
+	before := s.Stats().LiveLoads
+	tail, err := s.PointSeries(ctx, 0, liveScen, lats[0], lons[0], steps-3, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range tail {
+		if w := bilinear(grid, want[steps-3+i].Data, thetas[0], phis[0]); v != w {
+			t.Fatalf("resident tail t=%d: served %g, want %g", steps-3+i, v, w)
+		}
+	}
+	if got := s.Stats().LiveLoads - before; got != 0 {
+		t.Fatalf("fully resident range ran %d emulations, want 0", got)
+	}
+	// Touch another series until member 0 is half-evicted in the way that
+	// matters: last step resident, step 0 gone.
+	if _, err := s.Field(ctx, 1, liveScen, 2); err != nil {
+		t.Fatal(err)
+	}
+	if !resident(0, steps-1) || resident(0, 0) {
+		t.Fatalf("precondition: want member 0's last step resident and step 0 evicted, have last=%v first=%v",
+			resident(0, steps-1), resident(0, 0))
+	}
+	oneLoad("half-evicted point series", func() error {
+		got, err := s.PointSeries(ctx, 0, liveScen, lats[0], lons[0], 0, steps)
+		checkPoint("half-evicted", got, 0)
+		return err
+	})
+	oneLoad("half-evicted multi-point series", func() error {
+		got, err := s.PointsSeries(ctx, 0, liveScen, lats, lons, 0, steps)
+		for p := range got {
+			checkPoint("multi-point", got[p], p)
+		}
+		return err
+	})
+	box := Box{LatMin: -45, LatMax: 45, LonMin: 0, LonMax: 90}
+	rings, blons, err := boxPoints(grid, box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aw := grid.AreaWeights()
+	oneLoad("half-evicted box series", func() error {
+		got, err := s.BoxSeries(ctx, 0, liveScen, box, 0, steps)
+		for ts := range got {
+			sum, wsum := 0.0, 0.0
+			for _, i := range rings {
+				wsum += aw[i] * float64(len(blons))
+			}
+			for _, i := range rings {
+				for _, j := range blons {
+					sum += aw[i] * want[ts].Data[i*grid.NLon+j]
+				}
+			}
+			if w := sum / wsum; math.Float64bits(got[ts]) != math.Float64bits(w) {
+				t.Fatalf("box t=%d: served %g, EmulateUnder gives %g", ts, got[ts], w)
+			}
+		}
+		return err
+	})
 }
 
 // TestLiveT0Alignment pins that LiveT0 shifts live emulation to the

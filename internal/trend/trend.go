@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"exaclim/internal/forcing"
 	"exaclim/internal/linalg"
@@ -101,6 +102,10 @@ type Fit struct {
 	Rho []float64
 	// Sigma[pix] is the residual standard error.
 	Sigma []float64
+
+	// tab caches the rho-dependent evaluation state of this view (see
+	// rhoTable); unexported, so gob skips it and a loaded fit rebuilds it.
+	tab atomic.Pointer[rhoTable]
 }
 
 // NumPathways returns the number of forcing pathways the fit spans.
@@ -499,35 +504,127 @@ func (a *Accumulator) Solve() (*Fit, error) {
 	return fit, nil
 }
 
-// designRow evaluates the regressor vector at step t under pathway k for
-// the pixel's rho. Allocation-free: writes into row.
-func (f *Fit) designRow(k, t int, rho float64, row []float64) {
+// rhoTable is the rho-dependent evaluation state of one fit view, built
+// on first use: the distinct lag decays the pixels selected, each
+// pixel's index among them, and the lagged forcing of every
+// (pathway, decay) pair by year. It is immutable once published.
+type rhoTable struct {
+	rhos []float64     // distinct values of Fit.Rho, in order of first appearance
+	idx  []int32       // idx[pix] indexes rhos
+	lag  [][][]float64 // lag[pathway][rho] = lagSeries(Annual, rhos[rho])
+}
+
+// table returns the view's rhoTable. Concurrent first calls may each
+// build one; the tables are equal, so whichever is stored last serves.
+func (f *Fit) table() *rhoTable {
+	if tb := f.tab.Load(); tb != nil {
+		return tb
+	}
+	tb := &rhoTable{idx: make([]int32, len(f.Rho))}
+	for pix, rho := range f.Rho {
+		ri := 0
+		for ri < len(tb.rhos) && tb.rhos[ri] != rho {
+			ri++
+		}
+		if ri == len(tb.rhos) {
+			tb.rhos = append(tb.rhos, rho)
+		}
+		tb.idx[pix] = int32(ri)
+	}
+	tb.lag = make([][][]float64, len(f.Set.Pathways))
+	for k, pw := range f.Set.Pathways {
+		tb.lag[k] = make([][]float64, len(tb.rhos))
+		for ri, rho := range tb.rhos {
+			tb.lag[k][ri] = lagSeries(pw.Annual, rho)
+		}
+	}
+	f.tab.Store(tb)
+	return tb
+}
+
+// Step is the deterministic component of eq. (2) at one (pathway, step)
+// of a fit: one design row per distinct lag decay, which a pixel's mean
+// is a dot product against. Building it (Fit.StepAt) is the per-step
+// cost; applying it touches each pixel once and allocates nothing. A
+// built Step is read-only, so any number of goroutines may apply it.
+type Step struct {
+	fit  *Fit
+	idx  []int32   // pixel -> row
+	p    int       // row length, Options.Params()
+	rows []float64 // len(rhos) x p, row-major
+}
+
+// StepAt builds into s the design rows of step t under pathway k,
+// reusing s's storage. Steps past the pathway's forcing record hold the
+// last known year.
+func (f *Fit) StepAt(k, t int, s *Step) {
+	tb := f.table()
 	opt := f.Opt
+	p := opt.Params()
+	n := len(tb.rhos) * p
+	if cap(s.rows) < n {
+		s.rows = make([]float64, n)
+	}
+	s.fit, s.idx, s.p, s.rows = f, tb.idx, p, s.rows[:n]
 	annual := f.Set.Pathways[k].Annual
 	year := f.Lead + t/opt.StepsPerYear
 	if year >= len(annual) {
 		year = len(annual) - 1 // hold forcing at the last known year
 	}
+	row := s.rows[:p]
 	row[0] = 1
 	row[1] = annual[year]
-	// Recompute the lag state up to `year`. Cached per rho below via
-	// lagCache when evaluating whole fields.
-	lag := lagSeries(annual[:year+1], rho)
-	row[2] = lag[year]
 	c := 3
 	for kk := 1; kk <= opt.K; kk++ {
 		ang := 2 * math.Pi * float64(t) * float64(kk) / float64(opt.StepsPerYear)
-		s, co := math.Sincos(ang)
+		sn, co := math.Sincos(ang)
 		row[c] = co
-		row[c+1] = s
+		row[c+1] = sn
 		c += 2
 	}
 	for kk := 1; kk <= opt.KDiurnal; kk++ {
 		ang := 2 * math.Pi * float64(t) * float64(kk) / float64(opt.StepsPerDay)
-		s, co := math.Sincos(ang)
+		sn, co := math.Sincos(ang)
 		row[c] = co
-		row[c+1] = s
+		row[c+1] = sn
 		c += 2
+	}
+	// Only the lagged-forcing column depends on rho.
+	for ri := range tb.rhos {
+		r := s.rows[ri*p : (ri+1)*p]
+		copy(r, row)
+		r[2] = tb.lag[k][ri][year]
+	}
+}
+
+// mean returns the fitted mean of pixel pix.
+func (s *Step) mean(pix int) float64 {
+	off := int(s.idx[pix]) * s.p
+	return linalg.Dot(s.rows[off:off+s.p], s.fit.Beta[pix])
+}
+
+// Mean writes the fitted deterministic mean m into dst.
+func (s *Step) Mean(dst sphere.Field) {
+	for pix := range dst.Data {
+		dst.Data[pix] = s.mean(pix)
+	}
+}
+
+// Standardize writes the standardized residual z = (y - m) / sigma into
+// dst. dst and y may alias.
+func (s *Step) Standardize(dst, y sphere.Field) {
+	sigma := s.fit.Sigma
+	for pix := range dst.Data {
+		dst.Data[pix] = (y.Data[pix] - s.mean(pix)) / sigma[pix]
+	}
+}
+
+// Unstandardize converts a standardized stochastic field back to
+// temperature in place: y = m + sigma * z.
+func (s *Step) Unstandardize(z sphere.Field) {
+	sigma := s.fit.Sigma
+	for pix := range z.Data {
+		z.Data[pix] = s.mean(pix) + sigma[pix]*z.Data[pix]
 	}
 }
 
@@ -535,19 +632,9 @@ func (f *Fit) designRow(k, t int, rho float64, row []float64) {
 // grid under pathway k of the fit's set.
 func (f *Fit) PathwayMeanField(k, t int) sphere.Field {
 	out := sphere.NewField(f.Grid)
-	p := f.Opt.Params()
-	// Group pixels by rho so each lag series is computed once.
-	rows := make(map[float64][]float64)
-	for pix := range f.Beta {
-		rho := f.Rho[pix]
-		row, ok := rows[rho]
-		if !ok {
-			row = make([]float64, p)
-			f.designRow(k, t, rho, row)
-			rows[rho] = row
-		}
-		out.Data[pix] = linalg.Dot(row, f.Beta[pix])
-	}
+	var s Step
+	f.StepAt(k, t, &s)
+	s.Mean(out)
 	return out
 }
 
@@ -570,14 +657,12 @@ func (f *Fit) Standardize(fields []sphere.Field) []sphere.Field {
 
 // PathwayStandardizeInto writes the standardized residual of a single
 // step under pathway k into dst: z = (y - m_{k,t}) / sigma. dst and y
-// may alias. Callers that fan out over (member, timestep) pairs use it
-// with per-worker destination fields; the emulator's residual pass keys
-// k by each realization's pathway assignment.
+// may alias. Loops over many steps hold a Step of their own and call
+// StepAt + Step.Standardize, which reuses the design rows' storage.
 func (f *Fit) PathwayStandardizeInto(k int, dst, y sphere.Field, t int) {
-	m := f.PathwayMeanField(k, t)
-	for pix := range dst.Data {
-		dst.Data[pix] = (y.Data[pix] - m.Data[pix]) / f.Sigma[pix]
-	}
+	var s Step
+	f.StepAt(k, t, &s)
+	s.Standardize(dst, y)
 }
 
 // StandardizeInto standardizes one step under the default pathway.
@@ -588,10 +673,9 @@ func (f *Fit) StandardizeInto(dst, y sphere.Field, t int) {
 // PathwayUnstandardize converts a standardized stochastic field back to
 // temperature in place under pathway k: y = m_{k,t} + sigma * z.
 func (f *Fit) PathwayUnstandardize(k int, z sphere.Field, t int) {
-	m := f.PathwayMeanField(k, t)
-	for pix := range z.Data {
-		z.Data[pix] = m.Data[pix] + f.Sigma[pix]*z.Data[pix]
-	}
+	var s Step
+	f.StepAt(k, t, &s)
+	s.Unstandardize(z)
 }
 
 // Unstandardize converts back to temperature under the default pathway.
@@ -602,6 +686,7 @@ func (f *Fit) Unstandardize(z sphere.Field, t int) { f.PathwayUnstandardize(0, z
 // window.
 func (f *Fit) ExtendRF(future []float64) {
 	f.Set.Pathways[0].Annual = append(f.Set.Pathways[0].Annual, future...)
+	f.tab.Store(nil) // the lag tables end where the old record did
 }
 
 // WithAnnualRF returns a view of the fit whose deterministic mean is
@@ -611,10 +696,7 @@ func (f *Fit) ExtendRF(future []float64) {
 // emulated. The coefficient tables are shared with the receiver, so the
 // view is cheap and safe to use concurrently with it.
 func (f *Fit) WithAnnualRF(rf []float64) *Fit {
-	q := *f
-	q.Set = forcing.Single("scenario", append([]float64(nil), rf...))
-	q.Assign = nil
-	return &q
+	return f.view(forcing.Single("scenario", append([]float64(nil), rf...)))
 }
 
 // WithPathway returns a view of the fit whose default pathway is the
@@ -625,8 +707,11 @@ func (f *Fit) WithPathway(name string) (*Fit, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("trend: fit has no pathway %q (have %v)", name, f.Set.Names())
 	}
-	q := *f
-	q.Set = forcing.Set{Pathways: []forcing.Pathway{f.Set.Pathways[k]}}
-	q.Assign = nil
-	return &q, nil
+	return f.view(forcing.Set{Pathways: []forcing.Pathway{f.Set.Pathways[k]}}), nil
+}
+
+// view returns a fit sharing the receiver's coefficient tables under a
+// different pathway set, with no realization assignment.
+func (f *Fit) view(set forcing.Set) *Fit {
+	return &Fit{Grid: f.Grid, Opt: f.Opt, Lead: f.Lead, Set: set, Beta: f.Beta, Rho: f.Rho, Sigma: f.Sigma}
 }

@@ -758,3 +758,218 @@ func TestAccumulatorSetValidation(t *testing.T) {
 		t.Error("expected error for an empty set")
 	}
 }
+
+// designRowRef and pathwayMeanFieldRef are the map-based mean evaluation
+// trend.Step replaced (a float64-keyed map per call, a lagSeries run per
+// distinct rho per step), kept verbatim as the bit-identity reference.
+func designRowRef(f *Fit, k, t int, rho float64, row []float64) {
+	opt := f.Opt
+	annual := f.Set.Pathways[k].Annual
+	year := f.Lead + t/opt.StepsPerYear
+	if year >= len(annual) {
+		year = len(annual) - 1 // hold forcing at the last known year
+	}
+	row[0] = 1
+	row[1] = annual[year]
+	lag := lagSeries(annual[:year+1], rho)
+	row[2] = lag[year]
+	c := 3
+	for kk := 1; kk <= opt.K; kk++ {
+		ang := 2 * math.Pi * float64(t) * float64(kk) / float64(opt.StepsPerYear)
+		s, co := math.Sincos(ang)
+		row[c] = co
+		row[c+1] = s
+		c += 2
+	}
+	for kk := 1; kk <= opt.KDiurnal; kk++ {
+		ang := 2 * math.Pi * float64(t) * float64(kk) / float64(opt.StepsPerDay)
+		s, co := math.Sincos(ang)
+		row[c] = co
+		row[c+1] = s
+		c += 2
+	}
+}
+
+func pathwayMeanFieldRef(f *Fit, k, t int) sphere.Field {
+	out := sphere.NewField(f.Grid)
+	p := f.Opt.Params()
+	rows := make(map[float64][]float64)
+	for pix := range f.Beta {
+		rho := f.Rho[pix]
+		row, ok := rows[rho]
+		if !ok {
+			row = make([]float64, p)
+			designRowRef(f, k, t, rho, row)
+			rows[rho] = row
+		}
+		out.Data[pix] = linalg.Dot(row, f.Beta[pix])
+	}
+	return out
+}
+
+// mixedRhoFit hand-builds a two-pathway fit whose pixels select four
+// distinct lag decays in an irregular spatial pattern, with annual and
+// diurnal harmonics.
+func mixedRhoFit(grid sphere.Grid) *Fit {
+	rng := rand.New(rand.NewSource(23))
+	opt := Options{StepsPerYear: 48, K: 2, StepsPerDay: 4, KDiurnal: 1, RhoGrid: []float64{0, 0.3, 0.6, 0.95}}
+	nPix := grid.Points()
+	years := 6
+	a := make([]float64, years)
+	b := make([]float64, years+2) // pathways of different length
+	for i := range a {
+		a[i] = 2 + 0.5*rng.NormFloat64()
+	}
+	for i := range b {
+		b[i] = 2 + 0.7*float64(i) + 0.2*rng.NormFloat64()
+	}
+	fit := &Fit{
+		Grid: grid, Opt: opt, Lead: 1,
+		Set: forcing.Set{Pathways: []forcing.Pathway{
+			{Name: "a", Annual: a}, {Name: "b", Annual: b},
+		}},
+		Beta:  make([][]float64, nPix),
+		Rho:   make([]float64, nPix),
+		Sigma: make([]float64, nPix),
+	}
+	for pix := 0; pix < nPix; pix++ {
+		fit.Beta[pix] = randVec(rng, opt.Params())
+		fit.Beta[pix][0] += 280
+		fit.Rho[pix] = opt.RhoGrid[rng.Intn(len(opt.RhoGrid))]
+		fit.Sigma[pix] = 0.5 + rng.Float64()
+	}
+	return fit
+}
+
+func randVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+// TestStepBitIdenticalToMapEvaluation pins the three public evaluation
+// entry points, all of which now run through trend.Step, to the retired
+// map-based PathwayMeanField bit for bit: at steps inside the forcing
+// record, on its last year, and past its end, under both pathways, and
+// through a WithAnnualRF view and after ExtendRF (which must drop the
+// cached lag tables).
+func TestStepBitIdenticalToMapEvaluation(t *testing.T) {
+	grid := sphere.NewGrid(7, 9)
+	fit := mixedRhoFit(grid)
+	rng := rand.New(rand.NewSource(29))
+	y := sphere.NewField(grid)
+	for pix := range y.Data {
+		y.Data[pix] = 280 + 5*rng.NormFloat64()
+	}
+	check := func(name string, f *Fit, k, tt int) {
+		t.Helper()
+		want := pathwayMeanFieldRef(f, k, tt)
+		got := f.PathwayMeanField(k, tt)
+		z := sphere.NewField(grid)
+		f.PathwayStandardizeInto(k, z, y, tt)
+		back := y.Copy()
+		f.PathwayUnstandardize(k, back, tt)
+		for pix := range want.Data {
+			m := want.Data[pix]
+			if math.Float64bits(got.Data[pix]) != math.Float64bits(m) {
+				t.Fatalf("%s k=%d t=%d pixel %d: mean %x, map evaluation gives %x",
+					name, k, tt, pix, math.Float64bits(got.Data[pix]), math.Float64bits(m))
+			}
+			if wz := (y.Data[pix] - m) / f.Sigma[pix]; math.Float64bits(z.Data[pix]) != math.Float64bits(wz) {
+				t.Fatalf("%s k=%d t=%d pixel %d: standardized %g, want %g", name, k, tt, pix, z.Data[pix], wz)
+			}
+			if wy := m + f.Sigma[pix]*y.Data[pix]; math.Float64bits(back.Data[pix]) != math.Float64bits(wy) {
+				t.Fatalf("%s k=%d t=%d pixel %d: unstandardized %g, want %g", name, k, tt, pix, back.Data[pix], wy)
+			}
+		}
+	}
+	// Lead 1 + t/48: t = 239 is pathway a's last year, 240.. is beyond it.
+	steps := []int{0, 1, 47, 48, 200, 239, 240, 500}
+	for _, tt := range steps {
+		check("fit", fit, 0, tt)
+		check("fit", fit, 1, tt)
+	}
+	view := fit.WithAnnualRF([]float64{1, 3, 2, 5, 4, 7, 6, 9})
+	for _, tt := range steps {
+		check("view", view, 0, tt)
+	}
+	check("pre-extend", fit, 0, 300)
+	fit.ExtendRF([]float64{9, 10, 11})
+	for _, tt := range steps {
+		check("extended", fit, 0, tt)
+	}
+}
+
+// TestStepSharedAcrossGoroutines is the -race guard for the ensemble
+// engine's use of one built Step by every member's worker, and for
+// concurrent first use of a fit's lazily built lag tables.
+func TestStepSharedAcrossGoroutines(t *testing.T) {
+	grid := sphere.NewGrid(7, 9)
+	fit := mixedRhoFit(grid)
+	want := pathwayMeanFieldRef(fit, 1, 100)
+	var shared Step
+	done := make(chan sphere.Field, 8) // one send per goroutine
+	for g := 0; g < 4; g++ {
+		go func() { done <- fit.PathwayMeanField(1, 100) }() // races to build the table
+	}
+	for g := 0; g < 4; g++ {
+		<-done
+	}
+	fit.StepAt(1, 100, &shared)
+	for g := 0; g < 4; g++ {
+		go func() {
+			out := sphere.NewField(grid)
+			shared.Mean(out)
+			done <- out
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		got := <-done
+		for pix := range want.Data {
+			if got.Data[pix] != want.Data[pix] {
+				t.Errorf("shared step pixel %d: %g, want %g", pix, got.Data[pix], want.Data[pix])
+				break
+			}
+		}
+	}
+}
+
+// BenchmarkTrend_Unstandardize is the trend restore of one generated
+// step at the live what-if shape (L = 16 grid, two lag decays): "held"
+// is what the generation loop runs (a Step reused across steps), "call"
+// the one-shot PathwayUnstandardize wrapper.
+func BenchmarkTrend_Unstandardize(b *testing.B) {
+	grid := sphere.GridForBandLimit(16)
+	rng := rand.New(rand.NewSource(31))
+	opt := Options{StepsPerYear: 365, K: 2, RhoGrid: []float64{0.5, 0.85}}
+	nPix := grid.Points()
+	fit := &Fit{
+		Grid: grid, Opt: opt, Lead: 15,
+		Set:   forcing.Single("bench", randVec(rng, 40)),
+		Beta:  make([][]float64, nPix),
+		Rho:   make([]float64, nPix),
+		Sigma: make([]float64, nPix),
+	}
+	for pix := 0; pix < nPix; pix++ {
+		fit.Beta[pix] = randVec(rng, opt.Params())
+		fit.Rho[pix] = opt.RhoGrid[rng.Intn(2)]
+		fit.Sigma[pix] = 1
+	}
+	z := sphere.NewField(grid)
+	b.Run("held", func(b *testing.B) {
+		b.ReportAllocs()
+		var s Step
+		for i := 0; i < b.N; i++ {
+			fit.StepAt(0, i%4000, &s)
+			s.Unstandardize(z)
+		}
+	})
+	b.Run("call", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fit.PathwayUnstandardize(0, z, i%4000)
+		}
+	})
+}
