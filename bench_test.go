@@ -1,8 +1,8 @@
 package exaclim_test
 
-// One benchmark per table and figure of the paper's evaluation section,
-// as required by DESIGN.md's experiment index. Each benchmark executes
-// the same experiment generator used by cmd/repro, so `go test -bench=.`
+// One benchmark per table and figure of the paper's evaluation section
+// (the index is internal/experiments). Each benchmark executes the same
+// experiment generator used by cmd/repro, so `go test -bench=.`
 // regenerates the full evaluation and reports its cost.
 //
 // Science benchmarks (Fig2, Fig4) run the real pipeline end-to-end on
@@ -334,6 +334,46 @@ func BenchmarkTrainFromArchive(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(2*replayBenchMembers*replayBenchSteps)*float64(b.N)/b.Elapsed().Seconds(), "fields/s")
+}
+
+// BenchmarkArchive_AddField times the archive write path the way a
+// campaign drives it — a grid field in, analysis + band quantization +
+// chunk append out — at the batch pipeline's band limit (L=32), with the
+// bytes discarded so the number is the encode cost. The first field,
+// which builds the writer's plan and its analysis table, is added
+// outside the timed region. Tracked by the CI bench-trend comparison.
+func BenchmarkArchive_AddField(b *testing.B) {
+	const L = 32
+	grid := exaclim.GridForBandLimit(L)
+	// A smooth field: its decaying spectrum keeps FP16 bands in range.
+	f := exaclim.Field{Grid: grid, Data: make([]float64, grid.Points())}
+	for i := 0; i < grid.NLat; i++ {
+		sinT, cosT := math.Sincos(grid.Colatitude(i))
+		for j := 0; j < grid.NLon; j++ {
+			f.Data[i*grid.NLon+j] = math.Exp(0.8*sinT*math.Cos(grid.Longitude(j))) * math.Cos(2*cosT)
+		}
+	}
+	w, err := exaclim.NewArchiveWriter(io.Discard, exaclim.ArchiveHeader{
+		Grid: grid, L: L, Members: 1, Scenarios: 1, Steps: b.N + 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := w.AddField(0, 0, 0, f); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.AddField(0, 0, i+1, f); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "fields/s")
 }
 
 // BenchmarkRuntime_TileCholesky executes the real task runtime and

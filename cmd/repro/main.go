@@ -9,7 +9,7 @@
 // Science experiments (fig2, fig4) run the real pipeline on the
 // synthetic-ERA5 substitute at laptop scale; performance experiments
 // (fig5..fig8, table1) evaluate the calibrated machine model at the
-// paper's full scale. See EXPERIMENTS.md for recorded outputs.
+// paper's full scale; each table's notes quote the paper's numbers.
 package main
 
 import (

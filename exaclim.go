@@ -12,7 +12,8 @@
 // (DP / DP-SP / DP-SP-HP / DP-HP tile layouts) on a dynamic task runtime,
 // and emulation runs the chain in reverse. A calibrated performance model
 // of Frontier, Alps, Leonardo and Summit reproduces the paper's
-// scalability study; see DESIGN.md and EXPERIMENTS.md.
+// scalability study (internal/cluster; `go run ./cmd/repro` prints it
+// against the paper's numbers).
 //
 // This root package is the stable public surface. Typical use:
 //

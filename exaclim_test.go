@@ -81,6 +81,29 @@ func TestPublicSHT(t *testing.T) {
 	}
 }
 
+// TestPublicMeanPowerSpectrumEmpty: an empty series has the zero
+// spectrum, not 0/0 — the NaNs used to flow into ArchivePolicy.PlanBands.
+func TestPublicMeanPowerSpectrumEmpty(t *testing.T) {
+	const L = 6
+	plan, err := exaclim.NewSHT(exaclim.GridForBandLimit(L), L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := exaclim.MeanPowerSpectrum(plan, nil)
+	if len(spec) != L {
+		t.Fatalf("spectrum length %d, want %d", len(spec), L)
+	}
+	for l, v := range spec {
+		if v != 0 {
+			t.Errorf("degree %d: empty-series power %v, want 0", l, v)
+		}
+	}
+	bands := exaclim.DefaultArchivePolicy().PlanBands(spec)
+	if want := exaclim.UniformArchiveBands(L, exaclim.FP16); len(bands) != 1 || bands[0] != want[0] {
+		t.Errorf("bands planned from the zero spectrum = %v, want %v", bands, want)
+	}
+}
+
 func TestPublicPerformanceModel(t *testing.T) {
 	machines := exaclim.Machines()
 	if len(machines) != 4 {

@@ -13,7 +13,7 @@ import (
 
 func main() {
 	// 1. Data. The paper trains on ERA5; this repository substitutes a
-	// statistically ERA5-like synthetic generator (see DESIGN.md).
+	// statistically ERA5-like synthetic generator (see internal/era5).
 	gen, err := exaclim.NewSynthetic(exaclim.SyntheticConfig{
 		Grid:        exaclim.GridForBandLimit(24), // 25 x 48 grid, ~7.5 degrees
 		L:           24,

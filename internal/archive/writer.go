@@ -148,7 +148,7 @@ func (w *Writer) AddField(member, scenario, t int, f sphere.Field) error {
 		return fmt.Errorf("archive: field grid %v does not match archive grid %v", f.Grid, w.h.Grid)
 	}
 	packed := w.packPool.Get().(*[]float64)
-	plan.Analyze(f).PackReal(*packed)
+	*packed = plan.AnalyzePacked(*packed, f)
 	err = w.AddPacked(member, scenario, t, *packed)
 	w.packPool.Put(packed)
 	return err

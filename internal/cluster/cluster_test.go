@@ -106,7 +106,7 @@ func TestFig8(t *testing.T) {
 // TestFig7StrongScaling checks the strong-scaling efficiency ordering:
 // DP/SP scales best (72% in the paper); the HP-heavy variants lose
 // efficiency to per-step overheads. The absolute DP point is a known
-// deviation (see EXPERIMENTS.md): the model keeps DP compute-bound.
+// deviation: the model keeps DP compute-bound.
 func TestFig7StrongScaling(t *testing.T) {
 	const n = 4200000
 	sum := Summit()

@@ -3,8 +3,8 @@
 // distributed mixed-precision tile Cholesky on them.
 //
 // This environment has two CPU cores, so the machines themselves are the
-// one substrate that must be simulated (DESIGN.md section 4). Two layers
-// are provided and cross-validated against each other:
+// one substrate that must be simulated. Two layers are provided and
+// cross-validated against each other:
 //
 //   - Predict: an analytic pipelined-panel model at paper scale
 //     (matrix dimensions in the millions, tile grids in the thousands),
@@ -16,7 +16,8 @@
 //     grids; tests check the analytic model against it.
 //
 // The GPU rate and network constants are calibrated so the headline
-// paper numbers are reproduced within tolerance (see EXPERIMENTS.md);
+// paper numbers are reproduced within tolerance (pinned by this
+// package's tests and quoted in the notes of internal/experiments);
 // the *shapes* (variant speedups, scaling efficiencies, machine
 // orderings, memory-limited problem sizes) are genuine model outputs.
 package cluster

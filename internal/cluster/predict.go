@@ -234,7 +234,7 @@ func Predict(m MachineSpec, nodes int, n int64, b int, v tile.Variant, pol Polic
 	// Per-step serialization that grows with the machine: dynamic
 	// collective-group construction, scheduler contention, and (on
 	// Frontier) MCM sharing. Calibrated per machine against the paper's
-	// measured scale curves; see EXPERIMENTS.md.
+	// measured scale curves.
 	tOvh := ntf * m.StepOvhMS * 1e-3 * math.Pow(float64(nodes), m.OvhExp)
 	if !pol.LatencyPriority {
 		tOvh *= 2 // bandwidth-priority collectives stall panel steps

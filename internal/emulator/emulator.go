@@ -300,6 +300,7 @@ func TrainFromSet(src source.Ensemble, set forcing.Set, lead int, cfg Config) (*
 		nug := make([]float64, grid.Points())
 		nuggetPart[g] = nug
 		seqPlan := plan.Sequential()
+		coeffs := sht.NewCoeffs(cfg.L)
 		var mean trend.Step
 		var cur source.Cursor
 		curR := -1
@@ -330,7 +331,7 @@ func TrainFromSet(src source.Ensemble, set forcing.Set, lead int, cfg Config) (*
 			// trend of the forcing that drove them.
 			fit.StepAt(assign[r], t, &mean)
 			mean.Standardize(z, z)
-			coeffs := seqPlan.Analyze(z)
+			seqPlan.AnalyzeInto(coeffs, z)
 			coeffs.PackReal(packed[r][t])
 			seqPlan.SynthesizeInto(recon, coeffs)
 			for pix, v := range z.Data {

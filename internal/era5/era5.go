@@ -7,10 +7,10 @@
 // the spectral domain, and white microscale noise.
 //
 // The real ERA5 archive (318 billion hourly points) is proprietary-scale
-// data this environment cannot hold; this generator is the substitution
-// documented in DESIGN.md section 4. Because every component is known in
-// closed form, emulator training can be validated by parameter recovery,
-// a stronger check than visual agreement with real data.
+// data this environment cannot hold; this generator is the substitution.
+// Because every component is known in closed form, emulator training can
+// be validated by parameter recovery, a stronger check than visual
+// agreement with real data.
 package era5
 
 import (

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation from this repository's implementations. Each function
 // returns a Table that cmd/repro prints (and can emit as CSV) and that
-// the root-level benchmarks execute; EXPERIMENTS.md records the outputs
-// against the paper's numbers.
+// the root-level benchmarks execute; each Table's notes quote the
+// paper's numbers beside the regenerated ones.
 //
 // Science experiments (Figs. 2 and 4) run the real pipeline end-to-end
 // at laptop-scale band limits on the synthetic ERA5 substitute;

@@ -101,7 +101,7 @@ func Fig7() Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"paper: weak scaling 92-111%; strong scaling at 12,288 GPUs: DP 55%, DP/SP 72%, DP/SP/HP 60%, DP/HP 56% (model keeps DP compute-bound, see EXPERIMENTS.md)")
+		"paper: weak scaling 92-111%; strong scaling at 12,288 GPUs: DP 55%, DP/SP 72%, DP/SP/HP 60%, DP/HP 56% (model keeps DP compute-bound, a known deviation)")
 	return t
 }
 

@@ -5,27 +5,29 @@ import (
 	"math"
 )
 
-// RealPlan computes inverse transforms whose output is real, consuming
-// only the non-redundant half of the Hermitian spectrum. For even n it
-// runs a single complex transform of length n/2 — the classic two-for-one
+// RealPlan computes transforms between a real sequence and the
+// non-redundant half of its Hermitian spectrum: Forward from the
+// sequence to the half spectrum, Inverse back. For even n each runs a
+// single complex transform of length n/2 — the classic two-for-one
 // split: the half spectrum is repacked into the spectrum of the
 // interleaved sequence z[j] = x[2j] + i*x[2j+1], one length-n/2 inverse
-// recovers z, and the real output falls out by de-interleaving. Odd
-// lengths fall back to the full complex plan (they cannot split), so
-// callers never need a parity check.
+// recovers z, and the real output falls out by de-interleaving; Forward
+// is the same steps in reverse. Odd lengths fall back to the full
+// complex plan (they cannot split), so callers never need a parity
+// check.
 //
 // Like Plan, a RealPlan amortizes all trigonometric work and is not safe
 // for concurrent use; clone one per goroutine with Clone. Clones share
 // the immutable twiddle tables and carry only fresh scratch.
 type RealPlan struct {
 	n    int
-	half *Plan        // length n/2 inverse engine (even n)
+	half *Plan        // length n/2 engine (even n)
 	full *Plan        // full-length fallback (odd n)
 	w    []complex128 // i*exp(+2*pi*i*k/n), k = 0..n/2-1 (even n)
 	spec []complex128 // scratch: repacked spectrum, length SpecLen-1 or n
 }
 
-// NewRealPlan prepares an inverse real transform of length n.
+// NewRealPlan prepares a real transform of length n.
 func NewRealPlan(n int) *RealPlan {
 	if n <= 0 {
 		panic(fmt.Sprintf("fft: invalid real transform length %d", n))
@@ -47,13 +49,13 @@ func NewRealPlan(n int) *RealPlan {
 	return p
 }
 
-// Len returns the real output length n.
+// Len returns the real sequence length n.
 func (p *RealPlan) Len() int { return p.n }
 
 // SpecLen returns the half-spectrum length n/2+1: the number of
-// independent Hermitian coefficients X[0..n/2] the caller must supply to
-// Inverse. (For odd n the last entry is the conjugate-symmetric midpoint
-// partner and is still consumed.)
+// independent Hermitian coefficients X[0..n/2] Forward produces and the
+// caller must supply to Inverse. (For odd n the last entry is the
+// conjugate-symmetric midpoint partner and is still consumed.)
 func (p *RealPlan) SpecLen() int { return p.n/2 + 1 }
 
 // Clone returns an independent plan sharing the immutable twiddle tables
@@ -69,6 +71,47 @@ func (p *RealPlan) Clone() *RealPlan {
 	}
 	q.spec = make([]complex128, len(p.spec))
 	return &q
+}
+
+// Forward computes the non-redundant half of the length-n forward
+// transform of the real sequence src:
+//
+//	spec[k] = sum_j src[j] exp(-2*pi*i*j*k/n),  k = 0..n/2
+//
+// unnormalized, matching Plan.Forward. spec must have length SpecLen()
+// and src length Len(); src is not modified. spec[0] (and, for even n,
+// spec[n/2]) come out with exactly zero imaginary part.
+func (p *RealPlan) Forward(spec []complex128, src []float64) {
+	if len(src) != p.n || len(spec) != p.SpecLen() {
+		panic(fmt.Sprintf("fft: real forward size mismatch: src %d spec %d want %d/%d",
+			len(src), len(spec), p.n, p.SpecLen()))
+	}
+	z := p.spec
+	if p.full != nil {
+		for j, v := range src {
+			z[j] = complex(v, 0)
+		}
+		p.full.Forward(z, z)
+		spec[0] = complex(real(z[0]), 0)
+		copy(spec[1:], z[1:len(spec)])
+		return
+	}
+	h := p.n / 2
+	for j := range z {
+		z[j] = complex(src[2*j], src[2*j+1])
+	}
+	p.half.Forward(z, z)
+	// With E and O the transforms of the even and odd samples, Z = E +
+	// i*O, so X[k] = E[k] + exp(-2*pi*i*k/n)*O[k] unpacks as half of
+	// (Z[k] + conj(Z[h-k])) + conj(w[k])*(Z[k] - conj(Z[h-k])).
+	spec[0] = complex(real(z[0])+imag(z[0]), 0)
+	spec[h] = complex(real(z[0])-imag(z[0]), 0)
+	for k := 1; k < h; k++ {
+		a := z[k]
+		b := complex(real(z[h-k]), -imag(z[h-k]))
+		cw := complex(real(p.w[k]), -imag(p.w[k]))
+		spec[k] = ((a + b) + cw*(a-b)) * 0.5
+	}
 }
 
 // Inverse computes the length-n inverse transform of the Hermitian

@@ -2,6 +2,7 @@ package fft
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -84,6 +85,46 @@ func TestRealPlanCloneIndependent(t *testing.T) {
 		for j := 0; j < n; j++ {
 			if math.Abs(a[j]-real(want[j])) > 1e-11 || a[j] != b[j] {
 				t.Fatalf("n=%d j=%d: plan %v clone %v want %v", n, j, a[j], b[j], real(want[j]))
+			}
+		}
+	}
+}
+
+// TestRealPlanForwardMatchesNaive pins Forward against the O(n^2) DFT for
+// even, odd and length-1 inputs (radix-2 and Bluestein half plans both),
+// and the Inverse(Forward(x)) == x round trip.
+func TestRealPlanForwardMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 31, 32, 63, 64, 96, 127, 128, 130, 258} {
+		p := NewRealPlan(n)
+		x := make([]float64, n)
+		cx := make([]complex128, n)
+		for j := range x {
+			x[j] = rng.NormFloat64()
+			cx[j] = complex(x[j], 0)
+		}
+		xCopy := append([]float64(nil), x...)
+		want := Naive(cx, false)
+		spec := make([]complex128, p.SpecLen())
+		p.Forward(spec, x)
+		for k := range spec {
+			if d := cmplx.Abs(spec[k] - want[k]); d > 1e-11 {
+				t.Fatalf("n=%d k=%d: got %v want %v (|Δ|=%g)", n, k, spec[k], want[k], d)
+			}
+		}
+		if imag(spec[0]) != 0 || (n%2 == 0 && imag(spec[n/2]) != 0) {
+			t.Fatalf("n=%d: DC/Nyquist bins not exactly real: %v %v", n, spec[0], spec[n/2])
+		}
+		for j := range x {
+			if x[j] != xCopy[j] {
+				t.Fatalf("n=%d: Forward modified src[%d]", n, j)
+			}
+		}
+		back := make([]float64, n)
+		p.Inverse(back, spec)
+		for j := range x {
+			if d := math.Abs(back[j] - x[j]); d > 1e-13 {
+				t.Fatalf("n=%d j=%d: Inverse(Forward(x)) = %v, x = %v (|Δ|=%g)", n, j, back[j], x[j], d)
 			}
 		}
 	}

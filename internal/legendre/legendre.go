@@ -39,7 +39,7 @@ func TriSize(L int) int { return L * (L + 1) / 2 }
 // upward three-term recursion in l at fixed m. Sectoral values underflow
 // to zero for large m near the poles; within any supported band limit
 // (L <= Nlat-1) the suppressed values are below 1e-290 and the zeros are
-// exact to working precision (see DESIGN.md section 6).
+// exact to working precision.
 func AllAt(L int, cosTheta, sinTheta float64, out []float64) []float64 {
 	if L < 1 {
 		panic(fmt.Sprintf("legendre: invalid band limit %d", L))

@@ -61,8 +61,7 @@ func (d *Delta) At(l, m, n int) float64 {
 // handling to avoid the At call overhead.
 func (d *Delta) Table(l int) []float64 { return d.tables[l] }
 
-// Bytes returns the memory footprint of the tables, for the plan's
-// memory accounting.
+// Bytes returns the memory footprint of the tables.
 func (d *Delta) Bytes() int64 {
 	var total int64
 	for _, t := range d.tables {

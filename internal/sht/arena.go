@@ -21,14 +21,16 @@ import (
 //	   Output remains bit-deterministic across worker counts.
 const SynthKernelVersion = 2
 
-// synthScratch is one worker's reusable synthesis state: the fold
-// accumulators, the half-spectrum buffer, and a per-worker clone of the
-// plan's rFFT engine.
+// synthScratch is one worker's reusable transform state: the fold
+// accumulators, the half-spectrum buffers of both directions, and a
+// per-worker clone of the plan's rFFT engine.
 type synthScratch struct {
-	flat []complex128
-	fm   [][]complex128
-	spec []complex128
-	rp   *fft.RealPlan
+	flat   []complex128
+	fm     [][]complex128
+	spec   []complex128 // synthesis half spectrum; tail beyond L stays zero
+	gn, gs []complex128 // analysis half spectra of a north/south ring pair
+	coeffs []complex128 // AnalyzePacked's coefficient triangle
+	rp     *fft.RealPlan
 }
 
 // accum returns rows zeroed fold-accumulator slices of width L, backed
@@ -64,11 +66,23 @@ func (sc *synthScratch) ring(p *Plan) (*fft.RealPlan, []complex128) {
 	return sc.rp, sc.spec
 }
 
+// forward returns the worker's rFFT clone and the two full-length half
+// spectra the analysis ring stage writes (Forward fills every bin, so
+// they cannot share spec and its zero tail).
+func (sc *synthScratch) forward(p *Plan) (rp *fft.RealPlan, gn, gs []complex128) {
+	rp, _ = sc.ring(p)
+	if len(sc.gn) != rp.SpecLen() {
+		sc.gn = make([]complex128, rp.SpecLen())
+		sc.gs = make([]complex128, rp.SpecLen())
+	}
+	return rp, sc.gn, sc.gs
+}
+
 // synthArena pools synthScratch values for a plan and all its Sequential
-// copies. Each synthesis call checks out one scratch per worker up
-// front, hands worker g its own scratch for every block it runs, and
-// returns all of them when the call completes — so steady-state
-// synthesis allocates nothing regardless of worker count.
+// copies. A call that runs inline checks one scratch out with get; a
+// call that fans out takes one per worker up front, hands worker g its
+// own scratch for every block it runs, and releases all of them when
+// the call completes — so steady-state transforms allocate no scratch.
 type synthArena struct {
 	pool sync.Pool
 }
@@ -79,12 +93,14 @@ func newSynthArena() *synthArena {
 	return a
 }
 
+func (a *synthArena) get() *synthScratch   { return a.pool.Get().(*synthScratch) }
+func (a *synthArena) put(sc *synthScratch) { a.pool.Put(sc) }
+
 // take checks one scratch out of the pool per worker.
 func (a *synthArena) take(workers int) []*synthScratch {
 	out := make([]*synthScratch, workers)
 	for i := range out {
-		sc := a.pool.Get().(*synthScratch)
-		out[i] = sc
+		out[i] = a.get()
 	}
 	return out
 }
@@ -92,6 +108,6 @@ func (a *synthArena) take(workers int) []*synthScratch {
 // release returns every scratch taken by take.
 func (a *synthArena) release(scratch []*synthScratch) {
 	for _, sc := range scratch {
-		a.pool.Put(sc)
+		a.put(sc)
 	}
 }

@@ -6,9 +6,12 @@
 // G_m(theta) and a second FFT recover the Fourier coefficients K_{m,m'};
 // the exact quadrature I(q) = int_0^pi e^{iq theta} sin(theta) dtheta and
 // the precomputed Wigner-Delta products S_{l,m,m”} then produce the
-// spherical harmonic coefficients z_{lm} (eq. 7). Synthesis goes through
-// fully-normalized associated Legendre tables and an inverse FFT per ring,
-// an independent implementation that cross-validates the analysis path.
+// spherical harmonic coefficients z_{lm} (eq. 7). Everything after the
+// ring FFT is linear and data-independent, so a plan runs it once, on
+// unit impulses, and applies the resulting colatitude operator to every
+// field (analysis.go). Synthesis goes through fully-normalized associated
+// Legendre tables and an inverse FFT per ring, an independent
+// implementation that cross-validates the analysis path.
 //
 // For real fields only orders m >= 0 are stored, using the conjugate
 // symmetry z_{l,-m} = (-1)^m conj(z_{lm}). The real packing of length L^2

@@ -2,8 +2,8 @@ package sht
 
 import (
 	"fmt"
-	"math"
 	"sync"
+	"sync/atomic"
 
 	"exaclim/internal/fft"
 	"exaclim/internal/legendre"
@@ -13,33 +13,29 @@ import (
 )
 
 // Plan precomputes everything the transform needs for a fixed grid and
-// band limit: the Wigner-Delta tables (shared across all time steps, the
-// paper's Section III-A2 precomputation), the per-ring normalized
-// Legendre tables for synthesis, FFT plans for both transform lengths,
-// and the I(q) quadrature table.
+// band limit: the per-ring normalized Legendre tables for synthesis, the
+// real ring-transform plan both directions share, and — built on the
+// first analysis, not at construction — the colatitude operator that
+// folds the paper's Wigner-Delta stages (Section III-A2, shared across
+// all time steps) into one table.
 //
 // A Plan is safe for concurrent use by multiple goroutines: all
-// precomputed state is read-only after construction and per-call scratch
-// is allocated from per-worker pools.
+// precomputed state is read-only once built and per-call scratch comes
+// from per-worker pools.
 type Plan struct {
 	L    int
 	Grid sphere.Grid
 
-	delta    *legendre.Delta
-	ringTab  [][]float64   // per-ring Legendre tables, triangular layout
-	lonPlan  *fft.Plan     // length NLon (analysis ring stage)
-	rlon     *fft.RealPlan // length NLon real-output inverse (synthesis ring stage)
-	extPlan  *fft.Plan     // length 2*NLat-2
-	iq       []complex128
-	iqOffset int
-	phase    [4]complex128 // i^-m by m mod 4
-	workers  int
+	ringTab [][]float64   // per-ring Legendre tables, triangular layout
+	rlon    *fft.RealPlan // length NLon real ring transform, both directions
+	workers int
 
-	// f32, calib and arena are synthesis state shared by pointer across
-	// Sequential copies of the plan, so every cursor derived from one
-	// plan reuses a single f32 table build, one calibration run, and one
-	// scratch pool.
+	// f32, ana, calib and arena are shared by pointer across Sequential
+	// copies of the plan, so every cursor derived from one plan reuses a
+	// single f32 table build, one analysis operator, one calibration run,
+	// and one scratch pool.
 	f32   *f32Tables
+	ana   *analysisTable
 	calib *synthCalib
 	arena *synthArena
 }
@@ -49,6 +45,7 @@ type Plan struct {
 type f32Tables struct {
 	once  sync.Once
 	rings [][]float32
+	built atomic.Bool
 }
 
 // synthCalib memoizes the one-time ring-block microcalibration.
@@ -77,32 +74,14 @@ func NewPlan(grid sphere.Grid, L int, opts ...Option) (*Plan, error) {
 	for _, o := range opts {
 		o(p)
 	}
-	p.delta = legendre.NewDelta(L)
 	colat := make([]float64, grid.NLat)
 	for i := range colat {
 		colat[i] = grid.Colatitude(i)
 	}
 	p.ringTab = legendre.RingTable(L, colat)
-	p.lonPlan = fft.NewPlan(grid.NLon)
 	p.rlon = fft.NewRealPlan(grid.NLon)
-	p.extPlan = fft.NewPlan(2*grid.NLat - 2)
-
-	// I(q) for q in [-(2L-2), 2L-2] (eq. 8).
-	p.iqOffset = 2*L - 2
-	p.iq = make([]complex128, 4*L-3)
-	for q := -(2*L - 2); q <= 2*L-2; q++ {
-		var v complex128
-		if q%2 == 0 {
-			v = complex(2/(1-float64(q)*float64(q)), 0)
-		} else if q == 1 {
-			v = complex(0, math.Pi/2)
-		} else if q == -1 {
-			v = complex(0, -math.Pi/2)
-		}
-		p.iq[q+p.iqOffset] = v
-	}
-	p.phase = [4]complex128{1, complex(0, -1), -1, complex(0, 1)}
 	p.f32 = &f32Tables{}
+	p.ana = &analysisTable{}
 	p.calib = &synthCalib{}
 	p.arena = newSynthArena()
 	return p, nil
@@ -124,115 +103,40 @@ func (p *Plan) Sequential() *Plan {
 	return &q
 }
 
-// MemoryBytes reports the size of the precomputed tables, dominated by
-// the O(L^3) Delta storage the paper trades for per-step recomputation.
+// MemoryBytes reports the size of the precomputed tables the plan
+// family holds right now: the float64 ring tables always, the float32
+// mirror and the analysis operator once their first use has built them.
 func (p *Plan) MemoryBytes() int64 {
-	bytes := p.delta.Bytes()
-	bytes += int64(len(p.ringTab)) * int64(legendre.TriSize(p.L)) * 8
+	tri := int64(legendre.TriSize(p.L))
+	nlat := int64(p.Grid.NLat)
+	bytes := nlat * tri * 8
+	if p.f32.built.Load() {
+		bytes += nlat * tri * 4
+	}
+	if p.ana.builds.Load() > 0 {
+		bytes += (nlat + 1) / 2 * tri * 8
+	}
 	return bytes
 }
 
-// Analyze computes the forward SHT of a real field, returning coefficients
-// for m >= 0. The field must live on the plan's grid.
-func (p *Plan) Analyze(f sphere.Field) Coeffs {
-	if f.Grid != p.Grid {
-		panic(fmt.Sprintf("sht: field grid %v does not match plan grid %v", f.Grid, p.Grid))
+// fanOutMinWork is the fold work of one transform call — ring pairs
+// times TriSize(L) multiply-adds — below which the call runs on the
+// calling goroutine whatever the worker bound: starting and joining
+// workers costs more than such a fold saves. Measured with two workers
+// on a 2-core box: the L=16 grid (1.2e3) runs 5.5 us inline against 9 us
+// fanned out and L=32 (9e3) 30 us against 45 us, while L=64 (6.9e4)
+// gains, 205 us against 155 us.
+const fanOutMinWork = 1 << 14
+
+// callWorkers returns how many goroutines one transform call uses: 1
+// (inline, no hand-off) for a sequential plan or a grid too small to
+// repay a fan-out, else the plan's worker bound.
+func (p *Plan) callWorkers() int {
+	nPairs := (p.Grid.NLat + 1) / 2
+	if p.workers == 1 || nPairs*legendre.TriSize(p.L) < fanOutMinWork {
+		return 1
 	}
-	L := p.L
-	nlat, nlon := p.Grid.NLat, p.Grid.NLon
-	next := 2*nlat - 2
-
-	// Stage 1: FFT each ring to get G_m(theta_i) for m = 0..L-1.
-	// gm[m*nlat + i] = G_m(theta_i); the (2pi/NLon) factor turns the DFT
-	// into the integral of eq. (4), exactly for band-limited data.
-	gm := make([]complex128, L*nlat)
-	scaleLon := 2 * math.Pi / float64(nlon)
-	par.ForN(p.workers, nlat, func(i int) {
-		row := make([]complex128, nlon)
-		ring := f.Ring(i)
-		for j, v := range ring {
-			row[j] = complex(v, 0)
-		}
-		p.lonPlan.Clone().Forward(row, row)
-		for m := 0; m < L; m++ {
-			gm[m*nlat+i] = row[m] * complex(scaleLon, 0)
-		}
-	})
-
-	// Stage 2+3: per order m, extend along colatitude, FFT to K_{m,m'},
-	// correlate with I(q) to get W_m(m'') (inner sum of eq. 7), and fold
-	// positive/negative m'' with the Delta symmetry signs.
-	//
-	// folded[m*(L)+mpp] = W_m(mpp) + (-1)^m W_m(-mpp) for mpp >= 1, and
-	// folded[m*L+0] = W_m(0).
-	folded := make([]complex128, L*L)
-	par.ForN(p.workers, L, func(m int) {
-		ext := make([]complex128, next)
-		for i := 0; i < nlat; i++ {
-			ext[i] = gm[m*nlat+i]
-		}
-		sign := complex(1, 0)
-		if m&1 == 1 {
-			sign = -1
-		}
-		for i := nlat; i < next; i++ {
-			ext[i] = sign * ext[next-i]
-		}
-		p.extPlan.Clone().Forward(ext, ext)
-		// K_{m,m'} = ext-FFT / next, index m' mod next.
-		kscale := complex(1/float64(next), 0)
-		kAt := func(mp int) complex128 {
-			idx := mp % next
-			if idx < 0 {
-				idx += next
-			}
-			return ext[idx] * kscale
-		}
-		// W_m(mpp) = sum_{m'} K_{m,m'} I(m'+mpp).
-		w := func(mpp int) complex128 {
-			var sum complex128
-			for mp := -(L - 1); mp <= L-1; mp++ {
-				iv := p.iq[mp+mpp+p.iqOffset]
-				if iv != 0 {
-					sum += kAt(mp) * iv
-				}
-			}
-			return sum
-		}
-		base := m * L
-		folded[base] = w(0)
-		for mpp := 1; mpp < L; mpp++ {
-			wp := w(mpp)
-			wn := w(-mpp)
-			if m&1 == 1 {
-				folded[base+mpp] = wp - wn
-			} else {
-				folded[base+mpp] = wp + wn
-			}
-		}
-	})
-
-	// Stage 4: z_{lm} = i^-m sqrt((2l+1)/4pi) sum_{mpp>=0} Delta_{mpp,0}
-	// Delta_{mpp,m} folded_m(mpp), skipping mpp of the wrong parity
-	// (Delta_{mpp,0} = 0 when l-mpp is odd).
-	out := NewCoeffs(L)
-	par.ForN(p.workers, L, func(l int) {
-		tbl := p.delta.Table(l)
-		stride := l + 1
-		norm := math.Sqrt(float64(2*l+1) / (4 * math.Pi))
-		for m := 0; m <= l; m++ {
-			var sum complex128
-			start := l & 1 // Delta_{mpp,0} vanishes unless mpp = l (mod 2)
-			for mpp := start; mpp <= l; mpp += 2 {
-				d := tbl[mpp*stride] * tbl[mpp*stride+m]
-				if d != 0 {
-					sum += complex(d, 0) * folded[m*L+mpp]
-				}
-			}
-			out.C[legendre.Idx(l, m)] = sum * complex(norm, 0) * p.phase[m&3]
-		}
-	})
-	return out
+	return par.SpanWorkers(p.workers, nPairs)
 }
 
 // Synthesize evaluates the band-limited field from its coefficients on
@@ -251,7 +155,7 @@ func (p *Plan) Synthesize(c Coeffs) sphere.Field {
 // plan's grid, avoiding allocation in time-stepping loops.
 //
 // The kernel (version SynthKernelVersion) halves both stages by
-// symmetry and fans ring blocks out over a bounded worker pool:
+// symmetry:
 //
 //   - The per-ring degree fold F_i(m) = sum_l z_{lm} Ptilde_l^m(cos
 //     theta_i) runs over equator-mirrored ring PAIRS: the colatitudes
@@ -267,11 +171,13 @@ func (p *Plan) Synthesize(c Coeffs) sphere.Field {
 //
 // Pairs are processed in cache-blocked groups of synthBlock() (sized
 // once per plan by tile.PickBlock) with the fold sweeping the
-// coefficient table row-major (l outer, m inner). Blocks fan out via
-// par.ForNWorker with per-worker scratch from the plan's pooled arena;
-// every pair writes disjoint output rings with its own accumulators, so
-// the output is bit-identical for every worker count and block size
-// (pinned by TestSynthesizeParallelDeterministic). Against the retired
+// coefficient table row-major (l outer, m inner). A call large enough
+// to repay it (callWorkers) fans the blocks out via par.ForNWorker with
+// per-worker scratch from the plan's pooled arena; smaller calls and
+// Sequential plans walk them inline and allocate nothing. Every pair
+// writes disjoint output rings with its own accumulators, so the output
+// is bit-identical for every worker count and block size (pinned by
+// TestSynthesizeParallelDeterministic). Against the retired
 // reference loop the parity fold regroups sums, so agreement is <=
 // 1e-12 relative rather than bit-exact — the kernel-version-2 contract
 // (TestSynthesizeBlockedMatchesReference).
@@ -282,17 +188,24 @@ func (p *Plan) SynthesizeInto(dst sphere.Field, c Coeffs) {
 	if c.L != p.L {
 		panic(fmt.Sprintf("sht: coefficient band limit %d does not match plan %d", c.L, p.L))
 	}
-	nlat := p.Grid.NLat
 	block := p.synthBlock()
-	nPairs := (nlat + 1) / 2
+	nPairs := (p.Grid.NLat + 1) / 2
+	workers := p.callWorkers()
+	if workers == 1 {
+		sc := p.arena.get()
+		for p0 := 0; p0 < nPairs; p0 += block {
+			p.synthPairs(dst, c, sc, p0, min(p0+block, nPairs))
+		}
+		p.arena.put(sc)
+		return
+	}
 	nBlocks := (nPairs + block - 1) / block
-	scratch := p.arena.take(par.SpanWorkers(p.workers, nBlocks))
-	defer p.arena.release(scratch)
-	par.ForNWorker(p.workers, nBlocks, func(g, bi int) {
+	scratch := p.arena.take(workers)
+	par.ForNWorker(workers, nBlocks, func(g, bi int) {
 		p0 := bi * block
-		p1 := min(p0+block, nPairs)
-		p.synthPairs(dst, c, scratch[g], p0, p1)
+		p.synthPairs(dst, c, scratch[g], p0, min(p0+block, nPairs))
 	})
+	p.arena.release(scratch)
 }
 
 // synthPairs folds and synthesizes the equator-mirrored ring pairs
@@ -420,16 +333,3 @@ func (p *Plan) synthBlock() int {
 // Observability surfaces (trace span attributes) use it to record which
 // tile a synthesis executed under.
 func (p *Plan) SynthBlock() int { return p.synthBlock() }
-
-// AnalyzeSeries analyzes a batch of fields in parallel and returns the
-// real-packed coefficient vectors (each of length L^2), the layout the
-// VAR stage consumes. Fields must all live on the plan's grid.
-func (p *Plan) AnalyzeSeries(fields []sphere.Field) [][]float64 {
-	out := make([][]float64, len(fields))
-	// Parallelism lives inside Analyze; the loop stays sequential to
-	// bound peak memory at O(L^2) scratch regardless of series length.
-	for t, f := range fields {
-		out[t] = p.Analyze(f).PackReal(nil)
-	}
-	return out
-}

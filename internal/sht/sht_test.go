@@ -347,39 +347,6 @@ func TestNonBandLimitedConvergence(t *testing.T) {
 	}
 }
 
-func TestAnalyzeSeriesMatchesSingle(t *testing.T) {
-	const L = 10
-	g := sphere.GridForBandLimit(L)
-	p, err := NewPlan(g, L)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(6))
-	fields := make([]sphere.Field, 3)
-	for i := range fields {
-		fields[i] = p.Synthesize(randomCoeffs(rng, L))
-	}
-	batch := p.AnalyzeSeries(fields)
-	for i, f := range fields {
-		single := p.Analyze(f).PackReal(nil)
-		for k := range single {
-			if math.Abs(single[k]-batch[i][k]) > 1e-12 {
-				t.Fatalf("series field %d component %d: %g vs %g", i, k, batch[i][k], single[k])
-			}
-		}
-	}
-}
-
-func TestPlanMemoryBytesPositive(t *testing.T) {
-	p, err := NewPlan(sphere.GridForBandLimit(16), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.MemoryBytes() <= 0 {
-		t.Error("MemoryBytes should be positive")
-	}
-}
-
 func benchPlan(b *testing.B, L int) *Plan {
 	g := sphere.GridForBandLimit(L)
 	p, err := NewPlan(g, L)
@@ -389,8 +356,6 @@ func benchPlan(b *testing.B, L int) *Plan {
 	return p
 }
 
-func BenchmarkAnalyze_L32(b *testing.B) { benchAnalyze(b, 32) }
-func BenchmarkAnalyze_L64(b *testing.B) { benchAnalyze(b, 64) }
 func BenchmarkSynthesize_L64(b *testing.B) {
 	p := benchPlan(b, 64)
 	rng := rand.New(rand.NewSource(1))
@@ -399,15 +364,5 @@ func BenchmarkSynthesize_L64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.SynthesizeInto(f, c)
-	}
-}
-
-func benchAnalyze(b *testing.B, L int) {
-	p := benchPlan(b, L)
-	rng := rand.New(rand.NewSource(1))
-	f := p.Synthesize(randomCoeffs(rng, L))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Analyze(f)
 	}
 }

@@ -32,6 +32,7 @@ func (p *Plan) ringTab32() [][]float32 {
 			rings[i] = row
 		}
 		p.f32.rings = rings
+		p.f32.built.Store(true)
 	})
 	return p.f32.rings
 }
@@ -51,8 +52,8 @@ func (p *Plan) ringTab32() [][]float32 {
 // the table bandwidth — and each ring's longitude stage consumes only
 // the non-redundant half spectrum through a half-size real-output rFFT.
 // Both halvings only regroup float64 sums, so the error stays within
-// the float32 input rounding the bound tests pin. Blocks fan out via
-// par.ForNWorker with per-worker scratch from the plan's pooled arena.
+// the float32 input rounding the bound tests pin. Blocks run inline or
+// fan out under the same callWorkers rule as SynthesizeInto.
 func (p *Plan) SynthesizeIntoF32(dst []float32, packed []float32) {
 	if len(dst) != p.Grid.Points() {
 		panic(fmt.Sprintf("sht: destination length %d does not match grid %v", len(dst), p.Grid))
@@ -60,18 +61,25 @@ func (p *Plan) SynthesizeIntoF32(dst []float32, packed []float32) {
 	if len(packed) != PackDim(p.L) {
 		panic(fmt.Sprintf("sht: packed length %d does not match band limit %d", len(packed), p.L))
 	}
-	nlat := p.Grid.NLat
 	tab := p.ringTab32()
 	block := p.synthBlock()
-	nPairs := (nlat + 1) / 2
+	nPairs := (p.Grid.NLat + 1) / 2
+	workers := p.callWorkers()
+	if workers == 1 {
+		sc := p.arena.get()
+		for p0 := 0; p0 < nPairs; p0 += block {
+			p.synthPairsF32(dst, packed, tab, sc, p0, min(p0+block, nPairs))
+		}
+		p.arena.put(sc)
+		return
+	}
 	nBlocks := (nPairs + block - 1) / block
-	scratch := p.arena.take(par.SpanWorkers(p.workers, nBlocks))
-	defer p.arena.release(scratch)
-	par.ForNWorker(p.workers, nBlocks, func(g, bi int) {
+	scratch := p.arena.take(workers)
+	par.ForNWorker(workers, nBlocks, func(g, bi int) {
 		p0 := bi * block
-		p1 := min(p0+block, nPairs)
-		p.synthPairsF32(dst, packed, tab, scratch[g], p0, p1)
+		p.synthPairsF32(dst, packed, tab, scratch[g], p0, min(p0+block, nPairs))
 	})
+	p.arena.release(scratch)
 }
 
 // synthPairsF32 folds and synthesizes the equator-mirrored ring pairs

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"exaclim/internal/fft"
 	"exaclim/internal/legendre"
 	"exaclim/internal/sphere"
 )
@@ -19,6 +20,7 @@ import (
 func referenceSynthesizeInto(p *Plan, dst sphere.Field, c Coeffs) {
 	L := p.L
 	nlat, nlon := p.Grid.NLat, p.Grid.NLon
+	lon := fft.NewPlan(nlon)
 	for i := 0; i < nlat; i++ {
 		tbl := p.ringTab[i]
 		spec := make([]complex128, nlon)
@@ -34,7 +36,7 @@ func referenceSynthesizeInto(p *Plan, dst sphere.Field, c Coeffs) {
 			spec[m] = sum
 			spec[nlon-m] = complex(real(sum), -imag(sum))
 		}
-		p.lonPlan.Clone().Inverse(spec, spec)
+		lon.Inverse(spec, spec)
 		ring := dst.Ring(i)
 		for j := range ring {
 			ring[j] = real(spec[j]) * float64(nlon)
@@ -283,6 +285,53 @@ func TestEvalPointAllocates(t *testing.T) {
 	}
 }
 
+// TestSmallTransformsRunInline pins the inline-versus-fan-out rule to the
+// work a call can see, not to the calibrated block: on the L=16 live
+// what-if grid a multi-worker plan whose calibration left several blocks
+// (the case that used to hand every step to goroutines) still runs both
+// synthesis precisions and the analysis on the calling goroutine —
+// observable as zero allocations — while the L=64 serving grid fans out.
+func TestSmallTransformsRunInline(t *testing.T) {
+	const L = 16
+	grid := sphere.GridForBandLimit(L)
+	p, err := NewPlan(grid, L, WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forceBlock(p, 4) // 9 ring pairs -> 3 blocks
+	if w := p.callWorkers(); w != 1 {
+		t.Fatalf("L=%d grid: callWorkers = %d, want 1 (inline)", L, w)
+	}
+	big, err := NewPlan(sphere.GridForBandLimit(64), 64, WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := big.callWorkers(); w != 4 {
+		t.Fatalf("L=64 grid: callWorkers = %d, want 4 (fan-out)", w)
+	}
+	if w := big.Sequential().callWorkers(); w != 1 {
+		t.Fatalf("L=64 Sequential: callWorkers = %d, want 1", w)
+	}
+	if raceEnabled {
+		return // sync.Pool drops items under -race; no allocation pin
+	}
+	rng := rand.New(rand.NewSource(26))
+	c := randomCoeffs(rng, L)
+	p32 := packedF32(c.PackReal(nil))
+	f := sphere.NewField(grid)
+	dst32 := make([]float32, grid.Points())
+	back := NewCoeffs(L)
+	run := func() {
+		p.SynthesizeInto(f, c)
+		p.SynthesizeIntoF32(dst32, p32)
+		p.AnalyzeInto(back, f)
+	}
+	run() // build the lazy tables, warm the scratch pool
+	if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
+		t.Fatalf("small-grid transforms allocate %.1f objects per round; want 0 (inline)", allocs)
+	}
+}
+
 // BenchmarkSHT_BlockedSynthesize measures the blocked synthesis kernel
 // against the historical m-outer reference loop and the float32
 // end-to-end path at serving resolution (L=64). Tracked by the CI
@@ -366,7 +415,7 @@ func BenchmarkSHT_RFFT(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		spec := make([]complex128, nlon)
 		freq := make([]complex128, nlon)
-		lon := p.lonPlan.Clone()
+		lon := fft.NewPlan(nlon)
 		for i := 0; i < b.N; i++ {
 			for ri := 0; ri < nlat; ri++ {
 				spec[0] = complex(real(f[0]), 0)

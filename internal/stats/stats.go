@@ -198,13 +198,18 @@ func (s FieldSummary) String() string {
 		s.Mean, s.Std, s.Min, s.Max, s.Q05, s.Q50, s.Q95)
 }
 
-// MeanPowerSpectrum averages the angular power spectrum of a field series.
+// MeanPowerSpectrum averages the angular power spectrum of a field
+// series; an empty series has the zero spectrum.
 func MeanPowerSpectrum(plan *sht.Plan, fields []sphere.Field) []float64 {
 	out := make([]float64, plan.L)
+	if len(fields) == 0 {
+		return out
+	}
+	c := sht.NewCoeffs(plan.L)
 	for _, f := range fields {
-		ps := plan.Analyze(f).PowerSpectrum()
-		for l := range ps {
-			out[l] += ps[l]
+		plan.AnalyzeInto(c, f)
+		for l, v := range c.PowerSpectrum() {
+			out[l] += v
 		}
 	}
 	for l := range out {

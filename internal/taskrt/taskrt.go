@@ -6,11 +6,11 @@
 // makespan, per-kernel times, worker utilization, and the critical path
 // of the executed DAG are derived.
 //
-// Differences from PaRSEC are deliberate and documented in DESIGN.md:
-// this runtime schedules goroutines over shared memory rather than MPI
-// ranks over GPUs, so distributed-machine behaviour (communication cost,
-// collective ordering, memory per node) is modeled separately by
-// internal/cluster against the same task graphs.
+// Differences from PaRSEC are deliberate: this runtime schedules
+// goroutines over shared memory rather than MPI ranks over GPUs, so
+// distributed-machine behaviour (communication cost, collective
+// ordering, memory per node) is modeled separately by internal/cluster
+// against the same task graphs.
 package taskrt
 
 import (
