@@ -44,14 +44,25 @@ const blockSize = 64
 
 // Gemm computes C = alpha*op(A)*op(B) + beta*C for row-major matrices,
 // where op(A) is m x k and op(B) is k x n. It parallelizes over row
-// blocks of C.
+// blocks of C. Each element is beta*C[i][j] (zero when beta is zero) plus
+// the products (alpha*a)*b added one at a time in ascending summed index.
+// No product is skipped, so a NaN or Inf in one operand reaches C even
+// opposite an exact zero in the other, as IEEE 754 has it.
 func Gemm[T Float](tA, tB Trans, m, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
 	if m == 0 || n == 0 {
 		return
 	}
 	checkDims(tA, tB, m, n, k, len(a), lda, len(b), ldb, len(c), ldc)
+	// dotRows wants both operands contiguous along k.
+	if tA == Transpose {
+		a, lda = packTranspose(a, lda, k, m), k
+	}
+	if tB == NoTrans {
+		b, ldb = packTranspose(b, ldb, k, n), k
+	}
 	par.ForBlocks(0, m, blockSize, func(lo, hi int) {
-		gemmSerial(tA, tB, lo, hi, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+		scaleRows(beta, c, ldc, lo, hi, n, false)
+		dotRows(lo, hi, n, k, alpha, a, lda, b, ldb, c, ldc, false, false)
 	})
 }
 
@@ -72,99 +83,27 @@ func checkDims(tA, tB Trans, m, n, k, la, lda, lb, ldb, lc, ldc int) {
 	}
 }
 
-// gemmSerial updates rows [lo,hi) of C without spawning goroutines.
-func gemmSerial[T Float](tA, tB Trans, lo, hi, n, k int, alpha T, a []T, lda int, b []T, ldb int, beta T, c []T, ldc int) {
-	// Scale the target rows by beta first, then accumulate blocked
-	// products; the kj-inner ordering streams both B and C rows.
-	for i := lo; i < hi; i++ {
-		ci := c[i*ldc : i*ldc+n]
-		if beta == 0 {
-			for j := range ci {
-				ci[j] = 0
-			}
-		} else if beta != 1 {
-			for j := range ci {
-				ci[j] *= beta
-			}
-		}
-	}
-	for kk := 0; kk < k; kk += blockSize {
-		kmax := kk + blockSize
-		if kmax > k {
-			kmax = k
-		}
-		for i := lo; i < hi; i++ {
-			ci := c[i*ldc : i*ldc+n]
-			for p := kk; p < kmax; p++ {
-				var aval T
-				if tA == NoTrans {
-					aval = a[i*lda+p]
-				} else {
-					aval = a[p*lda+i]
-				}
-				if aval == 0 {
-					continue
-				}
-				aval *= alpha
-				if tB == NoTrans {
-					bp := b[p*ldb : p*ldb+n]
-					for j, bv := range bp {
-						ci[j] += aval * bv
-					}
-				} else {
-					for j := 0; j < n; j++ {
-						ci[j] += aval * b[j*ldb+p]
-					}
-				}
-			}
-		}
-	}
-}
-
 // Syrk computes the lower triangle of C = alpha*A*A^T + beta*C (when
 // trans is NoTrans, A is n x k) or C = alpha*A^T*A + beta*C (when trans
 // is Transpose, A is k x n). Only the lower triangle of C is referenced
 // and updated, matching its use for covariance accumulation (eq. 9) and
-// the trailing update of the tile Cholesky.
+// the trailing updates of Potrf and the tile Cholesky. The two forms
+// round differently, as they always have: Transpose adds (alpha*a)*a onto
+// beta*C product by product, NoTrans forms each sum from zero and adds
+// alpha*sum once. Like Gemm, it skips no product: non-finite entries of A
+// propagate to C.
 func Syrk[T Float](trans Trans, n, k int, alpha T, a []T, lda int, beta T, c []T, ldc int) {
 	if n == 0 {
 		return
 	}
+	// The shapes of the Gemm this is, with A in both operand places.
+	checkDims(trans, !trans, n, n, k, len(a), lda, len(a), lda, len(c), ldc)
+	if trans == Transpose {
+		a, lda = packTranspose(a, lda, k, n), k
+	}
 	par.ForBlocks(0, n, blockSize, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := c[i*ldc : i*ldc+i+1]
-			if beta == 0 {
-				for j := range ci {
-					ci[j] = 0
-				}
-			} else if beta != 1 {
-				for j := range ci {
-					ci[j] *= beta
-				}
-			}
-			if trans == NoTrans {
-				ai := a[i*lda : i*lda+k]
-				for j := 0; j <= i; j++ {
-					aj := a[j*lda : j*lda+k]
-					var sum T
-					for p, av := range ai {
-						sum += av * aj[p]
-					}
-					ci[j] += alpha * sum
-				}
-			} else {
-				for p := 0; p < k; p++ {
-					av := alpha * a[p*lda+i]
-					if av == 0 {
-						continue
-					}
-					row := a[p*lda : p*lda+i+1]
-					for j := 0; j <= i; j++ {
-						ci[j] += av * row[j]
-					}
-				}
-			}
-		}
+		scaleRows(beta, c, ldc, lo, hi, n, true)
+		dotRows(lo, hi, n, k, alpha, a, lda, a, lda, c, ldc, true, trans == NoTrans)
 	})
 }
 
@@ -299,29 +238,10 @@ func Potrf[T Float](n int, a []T, lda int) error {
 			// A[j+jb:, j:j+jb] = A[j+jb:, j:j+jb] * L^-T
 			TrsmRightLowerTrans(rows, jb, T(1), a[j*lda+j:], lda, a[(j+jb)*lda+j:], lda)
 			// Trailing update A22 -= L21 * L21^T (lower only).
-			syrkTrailing(rows, jb, a[(j+jb)*lda+j:], lda, a[(j+jb)*lda+j+jb:], lda)
+			Syrk(NoTrans, rows, jb, T(-1), a[(j+jb)*lda+j:], lda, T(1), a[(j+jb)*lda+j+jb:], lda)
 		}
 	}
 	return nil
-}
-
-// syrkTrailing computes C -= A*A^T on the lower triangle, with C n x n
-// and A n x k, parallelized over row blocks.
-func syrkTrailing[T Float](n, k int, a []T, lda int, c []T, ldc int) {
-	par.ForBlocks(0, n, blockSize, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a[i*lda : i*lda+k]
-			ci := c[i*ldc : i*ldc+i+1]
-			for j := 0; j <= i; j++ {
-				aj := a[j*lda : j*lda+k]
-				var sum T
-				for p, av := range ai {
-					sum += av * aj[p]
-				}
-				ci[j] -= sum
-			}
-		}
-	})
 }
 
 // CholSolve solves A x = b given the lower Cholesky factor L of A,

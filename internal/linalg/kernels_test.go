@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func randSlice(rng *rand.Rand, n int) []float64 {
@@ -422,13 +421,13 @@ func TestLowerMulVecBitIdenticalToOneRowLoop(t *testing.T) {
 	}
 }
 
-// TestLowerMulMatColumnBlocks pins LowerMulMat's register-blocked columns
-// (full blocks of 8, the scalar tail, and both together) to column-wise
-// LowerMulVec bit for bit.
+// TestLowerMulMatColumnBlocks pins LowerMulMat's 2 x 4 tiles (row pairs
+// and a last odd row, full groups of four members, the narrower last
+// group, and both together) to column-wise LowerMulVec bit for bit.
 func TestLowerMulMatColumnBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{5, 70} {
-		for _, cols := range []int{1, 7, 8, 9, 16} {
+	for _, n := range []int{1, 2, 3, 65, 130, 1024} {
+		for _, cols := range []int{1, 3, 4, 5, 8, 9} {
 			l := randLower(rng, n)
 			x := NewMatrix(n, cols)
 			for i := range x.Data {
@@ -454,27 +453,6 @@ func TestLowerMulMatColumnBlocks(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestSyrkAccumulateMatchesOuterProduct(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(20)
-		m := NewMatrix(n, n)
-		x := randSlice(rng, n)
-		m.SyrkAccumulate(2.5, x)
-		for i := 0; i < n; i++ {
-			for j := 0; j <= i; j++ {
-				if math.Abs(m.At(i, j)-2.5*x[i]*x[j]) > 1e-12 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -530,6 +508,47 @@ func benchPotrf(b *testing.B, n int) {
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
 }
 
+// BenchmarkLinalg_Syrk is eq. (9) at the L = 32 shape: the Transpose call
+// varm.EmpiricalCovariance makes on the 1458 stacked residual vectors.
+func BenchmarkLinalg_Syrk(b *testing.B) {
+	b.Run("cov1024x1458", func(b *testing.B) {
+		const n, k = 1024, 1458
+		rng := rand.New(rand.NewSource(1))
+		a := randSlice(rng, k*n)
+		c := make([]float64, n*n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			Syrk(Transpose, n, k, 1/float64(k), a, n, 0.0, c, n)
+		}
+		flops := float64(n) * float64(n+1) * float64(k)
+		b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+	})
+}
+
+// BenchmarkLinalg_GemmNT is one trailing tile update of mpchol,
+// C -= A*B^T on 64 x 64 tiles, at both compute precisions.
+func BenchmarkLinalg_GemmNT(b *testing.B) {
+	b.Run("f32_b64", benchGemmNT[float32])
+	b.Run("f64_b64", benchGemmNT[float64])
+}
+
+func benchGemmNT[T Float](b *testing.B) {
+	const n = 64
+	rng := rand.New(rand.NewSource(1))
+	a, bb, c := make([]T, n*n), make([]T, n*n), make([]T, n*n)
+	for i := range a {
+		a[i], bb[i] = T(rng.NormFloat64()), T(rng.NormFloat64())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Gemm(NoTrans, Transpose, n, n, n, T(-1), a, n, bb, n, T(1), c, n)
+	}
+	flops := 2 * float64(n) * float64(n) * float64(n)
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+}
+
 // The generation step's two products: xi = V eta for one member
 // (LowerMulVec) and for 8 members at once (LowerMulMat), at the L = 16
 // and L = 32 covariance dimensions.
@@ -556,6 +575,7 @@ func BenchmarkLinalg_LowerMulMat(b *testing.B) {
 			l := randLower(rng, n)
 			x := &Matrix{Rows: n, Cols: cols, Data: randSlice(rng, n*cols)}
 			y := NewMatrix(n, cols)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				l.LowerMulMat(x, y)

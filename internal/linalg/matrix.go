@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"exaclim/internal/par"
 )
@@ -77,26 +78,6 @@ func (m *Matrix) AddScaled(alpha float64, other *Matrix) *Matrix {
 	}
 	Axpy(alpha, other.Data, m.Data)
 	return m
-}
-
-// SyrkAccumulate adds alpha * x x^T to the lower triangle of m for a
-// column vector x; the rank-1 building block of the empirical covariance
-// (eq. 9 of the paper).
-func (m *Matrix) SyrkAccumulate(alpha float64, x []float64) {
-	if m.Rows != m.Cols || len(x) != m.Rows {
-		panic("linalg: SyrkAccumulate dimension mismatch")
-	}
-	n := m.Rows
-	for i := 0; i < n; i++ {
-		av := alpha * x[i]
-		if av == 0 {
-			continue
-		}
-		row := m.Data[i*n : i*n+i+1]
-		for j := 0; j <= i; j++ {
-			row[j] += av * x[j]
-		}
-	}
 }
 
 // SymmetrizeFromLower copies the lower triangle onto the upper.
@@ -183,15 +164,22 @@ func (m *Matrix) LowerMulVec(x, y []float64) {
 	}
 }
 
+// xtPool keeps LowerMulMat's transposed right-hand side between calls;
+// a generation step would otherwise allocate one (64 KB at L = 32 with
+// eight members) every step.
+var xtPool = sync.Pool{New: func() any { return new([]float64) }}
+
 // LowerMulMat computes Y = L X for the lower-triangular matrix L, where
 // X and Y are n x M — the batched sampling step Xi = V H of the ensemble
 // engine, one matrix-matrix product per VAR step instead of M LowerMulVec
 // calls. Each output element accumulates products in ascending-j order,
 // exactly like LowerMulVec, so column c of Y is bitwise identical to
-// LowerMulVec applied to column c of X. A row's sums are held in locals
-// eight columns at a time and stored once, instead of a load-add-store on
-// Y per product. Rows are independent, so the kernel parallelizes over
-// row blocks deterministically.
+// LowerMulVec applied to column c of X. X is transposed first so that a
+// member's draws are contiguous along j, and the product then runs on the
+// package's 2 x 4 tile (dot2x4): a pair of rows of L against four members,
+// over the columns both rows have, with the lower row's diagonal term
+// added last. Rows are independent, so the kernel parallelizes over row
+// blocks deterministically.
 func (m *Matrix) LowerMulMat(x, y *Matrix) {
 	n := m.Rows
 	if m.Cols != n {
@@ -202,34 +190,38 @@ func (m *Matrix) LowerMulMat(x, y *Matrix) {
 			n, n, x.Rows, x.Cols, y.Rows, y.Cols))
 	}
 	cols := x.Cols
+	buf := xtPool.Get().(*[]float64)
+	defer xtPool.Put(buf)
+	if cap(*buf) < n*cols {
+		*buf = make([]float64, n*cols)
+	}
+	xt := (*buf)[:n*cols]
+	transposeInto(xt, x.Data, cols, n, cols)
 	par.ForBlocks(0, n, blockSize, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			yi := y.Data[i*cols : (i+1)*cols]
-			row := m.Data[i*m.Cols : i*m.Cols+i+1]
-			c := 0
-			for ; c+8 <= cols; c += 8 {
-				var a0, a1, a2, a3, a4, a5, a6, a7 float64
-				for j, lv := range row {
-					xj := x.Data[j*cols+c : j*cols+c+8]
-					a0 += lv * xj[0]
-					a1 += lv * xj[1]
-					a2 += lv * xj[2]
-					a3 += lv * xj[3]
-					a4 += lv * xj[4]
-					a5 += lv * xj[5]
-					a6 += lv * xj[6]
-					a7 += lv * xj[7]
-				}
-				yc := yi[c : c+8]
-				yc[0], yc[1], yc[2], yc[3] = a0, a1, a2, a3
-				yc[4], yc[5], yc[6], yc[7] = a4, a5, a6, a7
+		for i := lo; i < hi; i += 2 {
+			// Rows i and i+1 share columns [0, i]; a last odd row is
+			// passed twice and its second sums dropped.
+			i1 := i + 1
+			if i1 == hi {
+				i1 = i
 			}
-			for ; c < cols; c++ {
-				var sum float64
-				for j, lv := range row {
-					sum += lv * x.Data[j*cols+c]
+			l0 := m.Data[i*n : i*n+i+1]
+			l1 := m.Data[i1*n : i1*n+i+1]
+			for c := 0; c < cols; c += 4 {
+				w := min(4, cols-c)
+				var xr [4][]float64
+				for s := range xr {
+					xr[s] = xt[(c+min(s, w-1))*n:]
 				}
-				yi[c] = sum
+				var acc [8]float64
+				dot2x4(l0, l1, xr[0], xr[1], xr[2], xr[3], &acc)
+				copy(y.Data[i*cols+c:i*cols+c+w], acc[:4])
+				if i1 != i {
+					d := m.Data[i1*n+i1]
+					for s := 0; s < w; s++ {
+						y.Data[i1*cols+c+s] = acc[4+s] + d*xr[s][i1]
+					}
+				}
 			}
 		}
 	})

@@ -246,13 +246,118 @@ func TestKernelCounts(t *testing.T) {
 	}
 }
 
+// The two dense products Factor issues, on the loops linalg ran before
+// its tile kernel: Gemm(NoTrans, Transpose, alpha = -1, beta = 1) as
+// load-add-store with the zero skip, Syrk(NoTrans, -1, 1) as one dot
+// product per element.
+
+func gemmNTRef[T linalg.Float](b int, a, c, out []T) {
+	for i := 0; i < b; i++ {
+		oi := out[i*b : (i+1)*b]
+		for p := 0; p < b; p++ {
+			av := a[i*b+p]
+			if av == 0 {
+				continue
+			}
+			av *= -1
+			for j := range oi {
+				oi[j] += av * c[j*b+p]
+			}
+		}
+	}
+}
+
+func syrkNTRef[T linalg.Float](b int, a, out []T) {
+	for i := 0; i < b; i++ {
+		ai := a[i*b : (i+1)*b]
+		for j := 0; j <= i; j++ {
+			aj := a[j*b : (j+1)*b]
+			var sum T
+			for p, av := range ai {
+				sum += av * aj[p]
+			}
+			out[i*b+j] += -1 * sum
+		}
+	}
+}
+
+// refFactor runs Factor's tasks in program order with the engine's own
+// POTRF and TRSM (kernels the tile kernel did not touch) and the SYRK and
+// GEMM updates on the reference loops, converting operands as the engine
+// does.
+func refFactor(s *tile.SymmMatrix) {
+	e := &engine{s: s, cache: make(map[cacheKey]*tile.Tile)}
+	b := s.B
+	for k := 0; k < s.NT; k++ {
+		e.potrf(k)
+		for i := k + 1; i < s.NT; i++ {
+			e.trsm(i, k)
+		}
+		for i := k + 1; i < s.NT; i++ {
+			if out := s.Tiles[i][i]; computeInF64(out.Prec) {
+				syrkNTRef(b, e.fetch(i, k, tile.FP64).F64, out.F64)
+			} else {
+				w := out.ToF32(nil)
+				syrkNTRef(b, e.fetch(i, k, out.Prec).ToF32(nil), w)
+				out.FromF32(w)
+			}
+			for j := k + 1; j < i; j++ {
+				if out := s.Tiles[i][j]; computeInF64(out.Prec) {
+					gemmNTRef(b, e.fetch(i, k, tile.FP64).F64, e.fetch(j, k, tile.FP64).F64, out.F64)
+				} else {
+					w := out.ToF32(nil)
+					gemmNTRef(b, e.fetch(i, k, out.Prec).ToF32(nil), e.fetch(j, k, out.Prec).ToF32(nil), w)
+					out.FromF32(w)
+				}
+			}
+		}
+	}
+}
+
+// TestFactorBitIdenticalToReferenceLoops pins the factor, in all four
+// precision variants, to the one the retired product loops give: moving
+// Gemm and Syrk onto the tile kernel changed no bit of a trained model.
+func TestFactorBitIdenticalToReferenceLoops(t *testing.T) {
+	const n, b = 256, 64
+	a := testMatrix(n)
+	for _, v := range tile.Variants {
+		got, _, err := FactorDense(a, b, v, Options{SenderConvert: true})
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		ref := tile.FromDense(a, b, v.Map(n/b))
+		refFactor(ref)
+		want := ref.ToDense()
+		for i := 0; i < n; i++ {
+			for j := 0; j <= i; j++ {
+				if g, w := got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%v: L[%d][%d] = %x, reference loops give %x", v, i, j, math.Float64bits(g), math.Float64bits(w))
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkFactorDP_256(b *testing.B)   { benchFactor(b, 256, tile.VariantDP) }
 func BenchmarkFactorDPSP_256(b *testing.B) { benchFactor(b, 256, tile.VariantDPSP) }
 func BenchmarkFactorDPHP_256(b *testing.B) { benchFactor(b, 256, tile.VariantDPHP) }
 
-func benchFactor(b *testing.B, n int, v tile.Variant) {
-	a := testMatrix(n)
+// BenchmarkMPChol_Factor is the factorization training runs at L = 32: a
+// dense 1024 x 1024 covariance in 64 x 64 tiles, DP band with HP
+// elsewhere. (testMatrix decays so fast that its far tiles are exact
+// zeros in HP, which is not what an empirical covariance looks like.)
+func BenchmarkMPChol_Factor(b *testing.B) {
+	b.Run("n1024_b64_DPHP", func(b *testing.B) {
+		benchFactorOf(b, linalg.RandomSPD(rand.New(rand.NewSource(1)), 1024, 1.0), tile.VariantDPHP)
+	})
+}
+
+func benchFactor(b *testing.B, n int, v tile.Variant) { benchFactorOf(b, testMatrix(n), v) }
+
+func benchFactorOf(b *testing.B, a *linalg.Matrix, v tile.Variant) {
+	n := a.Rows
 	nt := n / 64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
