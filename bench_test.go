@@ -655,12 +655,16 @@ func BenchmarkServe_PointSeries(b *testing.B) {
 	})
 }
 
-// BenchmarkServe_FieldF32 is the float32 end-to-end claim at L=64: the
-// `f64-narrow` sub is the old way to produce a float32 field — decode
-// and synthesize in float64, then narrow — and `f32` is the new
-// pipeline that stays float32 from archive band to response buffer.
+// BenchmarkServe_FieldF32 prices a float32 field at L=64 two ways: the
+// `f64-narrow` sub decodes and synthesizes a float64 field, then narrows
+// it in a separate pass (what a consumer of Field would do), and `f32` is
+// FieldF32 — float32 decode, the same float64 fold, and the narrowing
+// done by the ring write itself, so no float64 grid ever exists.
 // CacheBytes:1 evicts every entry immediately, so each request pays the
-// full decode+synthesis kernel; the acceptance bar is f32 >= 1.5x.
+// full decode+synthesis kernel. The two share every loop but the ring
+// write, so f32 should cost no more than f64-narrow; the 1.5x this
+// benchmark once gated on belonged to a float32-table fold that measured
+// slower than this one at L=64 and is gone.
 func BenchmarkServe_FieldF32(b *testing.B) {
 	newSrv := func(b *testing.B) *exaclim.Server {
 		r := pointBenchReader(b)
@@ -690,7 +694,7 @@ func BenchmarkServe_FieldF32(b *testing.B) {
 	})
 	b.Run("f32", func(b *testing.B) {
 		s := newSrv(b)
-		if _, err := s.FieldF32(context.Background(), 0, 0, 0); err != nil { // warm f32 tables
+		if _, err := s.FieldF32(context.Background(), 0, 0, 0); err != nil { // warm plan calibration
 			b.Fatal(err)
 		}
 		b.ResetTimer()
@@ -702,20 +706,32 @@ func BenchmarkServe_FieldF32(b *testing.B) {
 	})
 }
 
-// BenchmarkServe_PointBatch is the batched point-evaluation claim: 64
-// locations on an 8x8 lat/lon grid (8 distinct rings after colatitude
-// dedup), full 32-step series at L=64. `per-point` answers them as 64
-// independent PointSeries calls — 64 cursor passes over the archive and
-// 64 O(L^2) dot products per step — while `batch` shares one decode and
-// one Legendre fold per (step, ring) across all locations. The
-// acceptance bar is batch >= 3x.
+// BenchmarkServe_PointBatch prices /v1/points against per-point queries
+// at L=64 over a full 32-step series. Every location is one weight row
+// of the step product (sht.Evaluator), so a batch saves the P-1 extra
+// cursor passes and runs its rows through the tiled kernel; it no longer
+// shares a Legendre fold between locations on the same ring. `scattered16`
+// is the shape the repo benchmark's `series` row sends (16 unrelated
+// locations; per 32-step request, `-cpu 1`, alternated with the parent
+// commit: 2.3-2.5 -> 1.85-1.9 ms against the retired fold-and-gather
+// evaluator); `grid64` is the 8 x 8 lat/lon grid this benchmark used to
+// run as `batch`, the case that design was built for — eight shared
+// rings made it 1.3-1.5 ms there, 64 rows cost 7-8 ms. The subs were
+// renamed with the evaluator so a cross-commit comparison cannot pair
+// them with the old numbers. `per-point16` is scattered16 as 16
+// PointSeries calls.
 func BenchmarkServe_PointBatch(b *testing.B) {
-	var lats, lons []float64
+	var gridLats, gridLons []float64
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
-			lats = append(lats, -70+float64(i)*20)
-			lons = append(lons, 10+float64(j)*45)
+			gridLats = append(gridLats, -70+float64(i)*20)
+			gridLons = append(gridLons, 10+float64(j)*45)
 		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	lats, lons := make([]float64, 16), make([]float64, 16)
+	for p := range lats {
+		lats[p], lons[p] = -85+170*rng.Float64(), 360*rng.Float64()
 	}
 	newSrv := func(b *testing.B) *exaclim.Server {
 		r := pointBenchReader(b)
@@ -725,20 +741,21 @@ func BenchmarkServe_PointBatch(b *testing.B) {
 		}
 		return s
 	}
-	seriesPerSec := func(b *testing.B) {
-		b.ReportMetric(float64(len(lats))*float64(b.N)/b.Elapsed().Seconds(), "series/s")
-	}
-	b.Run("batch", func(b *testing.B) {
-		s := newSrv(b)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.PointsSeries(context.Background(), 0, 0, lats, lons, 0, pointBenchSteps); err != nil {
-				b.Fatal(err)
+	batch := func(lats, lons []float64) func(b *testing.B) {
+		return func(b *testing.B) {
+			s := newSrv(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.PointsSeries(context.Background(), 0, 0, lats, lons, 0, pointBenchSteps); err != nil {
+					b.Fatal(err)
+				}
 			}
+			b.ReportMetric(float64(len(lats))*float64(b.N)/b.Elapsed().Seconds(), "series/s")
 		}
-		seriesPerSec(b)
-	})
-	b.Run("per-point", func(b *testing.B) {
+	}
+	b.Run("scattered16", batch(lats, lons))
+	b.Run("grid64", batch(gridLats, gridLons))
+	b.Run("per-point16", func(b *testing.B) {
 		s := newSrv(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -748,8 +765,41 @@ func BenchmarkServe_PointBatch(b *testing.B) {
 				}
 			}
 		}
-		seriesPerSec(b)
+		b.ReportMetric(float64(len(lats))*float64(b.N)/b.Elapsed().Seconds(), "series/s")
 	})
+}
+
+// BenchmarkServe_BoxSeries prices /v1/box at L=64 over a full 32-step
+// series: the front-end whose kernel changed most when a box mean became
+// one weight row. `box4x4` is the repo benchmark's 10-degree box (four
+// rings by four longitudes); `box16x32` covers 512 grid points and costs
+// the same per step — the row is built per ring, the step is one dot
+// product either way. Per 32-step request at `-cpu 1`, alternated with
+// the parent commit's rings x longitudes evaluator: box4x4 0.82-1.03 ->
+// 0.45-0.53 ms, box16x32 3.9-4.4 -> 0.58-0.68 ms; what is left is the
+// range decode and building the row.
+func BenchmarkServe_BoxSeries(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		box  exaclim.QueryBox
+	}{
+		{"box4x4", exaclim.QueryBox{LatMin: 30, LatMax: 40, LonMin: 100, LonMax: 110}},
+		{"box16x32", exaclim.QueryBox{LatMin: -20, LatMax: 23, LonMin: 0, LonMax: 88}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := exaclim.NewServer(pointBenchReader(b), nil, exaclim.ServeConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.BoxSeries(context.Background(), 0, 0, c.box, 0, pointBenchSteps); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(pointBenchSteps)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")
+		})
+	}
 }
 
 // batchBench is the chunk-granular decode fixture: one 64-step series
@@ -813,9 +863,9 @@ func batchBenchReader(b *testing.B) *exaclim.ArchiveReader {
 // BenchmarkServe_SeriesBatchDecode is the chunk-granular batch decode
 // claim: a 64-step same-chunk series query decoded through
 // ReadPackedRange (`range`, one chunk load + LUT decode, what the series
-// endpoints now run) vs step-at-a-time ReadPacked calls (`perstep`, the
-// retired per-step loop: a coordinate check, chunk lookup and branchy
-// FP16 conversion per step). The acceptance bar is range >= 1.5x.
+// loop runs) vs step-at-a-time ReadPacked calls (`perstep`: a coordinate
+// check, chunk lookup and branchy FP16 conversion per step, through the
+// same decoder). The acceptance bar is range >= 1.5x.
 func BenchmarkServe_SeriesBatchDecode(b *testing.B) {
 	stepsPerSec := func(b *testing.B) {
 		b.ReportMetric(float64(batchBenchSteps)*float64(b.N)/b.Elapsed().Seconds(), "steps/s")

@@ -4,10 +4,12 @@
 // manipulation only — the heavy work it coordinates must happen outside
 // the critical section. Concretely, while a mutex is held it forbids:
 //
-//   - spherical-harmonic synthesis or analysis (sht.Plan methods),
-//     which is O(L^2 * pixels) per field;
-//   - chunk I/O and coefficient decode (readChunk / decodeStep and the
-//     Read* entry points built on them);
+//   - spherical-harmonic synthesis or analysis (sht.Plan methods and the
+//     packed entry points), which is O(L^2 * pixels) per field, and point
+//     evaluators, O(L^2) per row to build and per step;
+//   - chunk I/O and coefficient decode (readChunk / loadChunk /
+//     decodeStep and the Read* entry points built on them, at either
+//     width);
 //   - writing to an http.ResponseWriter (response I/O stalls on slow
 //     clients, so a locked write lets one client block a shard);
 //   - metric observation and request logging (obs-package calls, sink
@@ -63,14 +65,19 @@ func init() {
 // decode work regardless of receiver: the archive frame-parsing layer
 // and the reader entry points built on it.
 var heavyNames = map[string]bool{
-	"readChunk": true, "decodeStep": true, "decodeChunk": true,
+	"readChunk": true, "loadChunk": true, "decodeStep": true, "decodeChunk": true,
 	"decodeHeader": true, "decodeIndex": true,
-	"ReadPacked": true, "ReadPackedRange": true, "ReadField": true, "ReadFieldInto": true, "EachField": true,
+	"ReadPacked": true, "ReadPackedF32": true, "ReadPackedInto": true, "ReadPackedRange": true,
+	"ReadField": true, "ReadFieldInto": true, "EachField": true,
 }
 
-// shtHeavy lists the sht transform entry points.
+// shtHeavy lists the sht entry points that cost O(L^2) or more a call:
+// the transforms in their method and packed forms, and the point
+// evaluators' construction and step.
 var shtHeavy = map[string]bool{
-	"Synthesize": true, "SynthesizeInto": true, "Analyze": true, "AnalyzeInto": true,
+	"Synthesize": true, "SynthesizeInto": true, "SynthesizeIntoF32": true, "SynthesizePacked": true,
+	"Analyze": true, "AnalyzeInto": true, "AnalyzePacked": true,
+	"NewPointEvaluator": true, "NewPointBatchEvaluator": true, "NewMeanEvaluator": true, "EvalPacked": true,
 }
 
 // obsNames lists the observability helpers forbidden under a lock
@@ -292,7 +299,11 @@ func anyKey(m map[string]token.Pos) string {
 // heavyCall classifies call; it returns the printable callee and the
 // reason, or "" when the call is fine.
 func heavyCall(pass *analysis.Pass, call *ast.CallExpr, rw *types.Interface) (name, why string) {
-	switch fun := call.Fun.(type) {
+	callee := call.Fun
+	if ix, ok := callee.(*ast.IndexExpr); ok {
+		callee = ix.X // an explicitly instantiated generic: f[E](...)
+	}
+	switch fun := callee.(type) {
 	case *ast.SelectorExpr:
 		sel := fun.Sel.Name
 		// Response I/O: a method on an http.ResponseWriter.

@@ -89,3 +89,47 @@ func (r *Reader) goodRange(s *Series, dst []float64) error {
 		return nil
 	})
 }
+
+func (r *Reader) ReadPackedF32(t int, dst []float32) ([]float32, error) {
+	return dst, nil
+}
+
+// ReadPackedInto mirrors the generic helper both widths instantiate.
+func ReadPackedInto[E float32 | float64](r *Reader, t int, dst []E) ([]E, error) {
+	return dst, nil
+}
+
+func (s *Series) loadChunk(k int) error {
+	return nil
+}
+
+// The float32 read path decodes exactly as the float64 one does, and the
+// cursor's chunk loader is chunk I/O: none of the three may run under
+// the shard lock, however the generic helper is spelled.
+func (r *Reader) badReadF32(s *Series, dst []float32) error {
+	sh := &r.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if _, err := r.ReadPackedF32(0, dst); err != nil { // want:lockedcall "ReadPackedF32"
+		return err
+	}
+	if _, err := ReadPackedInto(r, 1, dst); err != nil { // want:lockedcall "ReadPackedInto"
+		return err
+	}
+	if _, err := ReadPackedInto[float32](r, 2, dst); err != nil { // want:lockedcall "ReadPackedInto"
+		return err
+	}
+	return s.loadChunk(1) // want:lockedcall "loadChunk"
+}
+
+// Bookkeeping under the lock, the reads after it.
+func (r *Reader) goodReadF32(s *Series, dst []float32) error {
+	sh := &r.shards[0]
+	sh.mu.Lock()
+	sh.chunk = -1
+	sh.mu.Unlock()
+	if _, err := ReadPackedInto(r, 1, dst); err != nil {
+		return err
+	}
+	return s.loadChunk(1)
+}

@@ -66,6 +66,38 @@ func (h *handler) goodFlight() {
 	h.plan.Synthesize(data)
 }
 
+// Every form of the transforms is as heavy as the one above: the float32
+// method, the generic packed entry point (inferred or explicitly
+// instantiated) and the packed forward transform.
+func (h *handler) badPackedTransforms(dst, packed []float32) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.plan.SynthesizeIntoF32(dst, packed)           // want:lockedcall "SynthesizeIntoF32 .SHT transform."
+	sht.SynthesizePacked(h.plan, dst, packed)       // want:lockedcall "SynthesizePacked .SHT transform."
+	sht.SynthesizePacked[float64](h.plan, nil, nil) // want:lockedcall "SynthesizePacked .SHT transform."
+	h.data = h.plan.AnalyzePacked(h.data, h.data)   // want:lockedcall "AnalyzePacked .SHT transform."
+}
+
+// Building an evaluator is a Legendre recursion per row and a step is a
+// rows x L^2 product: neither belongs under the lock that guards the
+// evaluator cache's list.
+func (h *handler) badEvaluators(thetas, phis []float64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	ev := sht.NewPointBatchEvaluator(8, thetas, phis) // want:lockedcall "NewPointBatchEvaluator .SHT transform."
+	h.data = ev.EvalPacked(h.data, h.data)            // want:lockedcall "EvalPacked .SHT transform."
+	_ = sht.NewPointEvaluator(8, 0.5, 1.5)            // want:lockedcall "NewPointEvaluator .SHT transform."
+	_ = sht.NewMeanEvaluator(8, thetas, thetas, phis) // want:lockedcall "NewMeanEvaluator .SHT transform."
+}
+
+// The evaluator cache's shape: look up under the lock, build outside it.
+func (h *handler) goodEvaluator(thetas, phis []float64) []float64 {
+	h.mu.Lock()
+	data := h.data
+	h.mu.Unlock()
+	return sht.NewPointBatchEvaluator(8, thetas, phis).EvalPacked(nil, data)
+}
+
 // Metric observation under the shard lock couples every request on the
 // shard to the recording path's latency.
 func (h *handler) badCountUnderLock() {

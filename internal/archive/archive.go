@@ -340,8 +340,12 @@ func appendStep(buf []byte, bands []Band, packed []float64) (out []byte, err2, n
 	return buf, err2, norm2
 }
 
-// decodeStep decodes one step record into dst (length L^2).
-func decodeStep(data []byte, bands []Band, dst []float64) error {
+// decodeStep decodes one step record into dst (length L^2) at either
+// width — the one decoder under every read path. It walks the record's
+// framing; dequantize converts each band's payload. f16, when non-nil, is
+// fp16Table(): FP16 values are then looked up instead of converted, to
+// the same bits.
+func decodeStep[E sht.Real](data []byte, bands []Band, dst []E, f16 *[1 << 16]float64) error {
 	off := 0
 	for _, b := range bands {
 		if off+8 > len(data) {
@@ -349,39 +353,48 @@ func decodeStep(data []byte, bands []Band, dst []float64) error {
 		}
 		s := math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
 		off += 8
-		n := b.Coeffs()
-		seg := dst[b.Lo*b.Lo : b.Hi*b.Hi]
-		switch b.Prec {
-		case tile.FP64:
-			if off+8*n > len(data) {
-				return fmt.Errorf("archive: step record truncated at band %v", b)
-			}
-			for i := 0; i < n; i++ {
-				seg[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off+8*i:]))
-			}
-			off += 8 * n
-		case tile.FP32:
-			if off+4*n > len(data) {
-				return fmt.Errorf("archive: step record truncated at band %v", b)
-			}
-			for i := 0; i < n; i++ {
-				seg[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off+4*i:]))) * s
-			}
-			off += 4 * n
-		case tile.FP16:
-			if off+2*n > len(data) {
-				return fmt.Errorf("archive: step record truncated at band %v", b)
-			}
-			for i := 0; i < n; i++ {
-				seg[i] = half.Float16(binary.LittleEndian.Uint16(data[off+2*i:])).Float64() * s
-			}
-			off += 2 * n
+		size := b.Prec.Bytes() * b.Coeffs()
+		if off+size > len(data) {
+			return fmt.Errorf("archive: step record truncated at band %v", b)
 		}
+		dequantize(dst[b.Lo*b.Lo:b.Hi*b.Hi], data[off:off+size], b.Prec, s, f16)
+		off += size
 	}
 	if off != len(data) {
 		return fmt.Errorf("archive: step record has %d trailing bytes", len(data)-off)
 	}
 	return nil
+}
+
+// dequantize converts one band's payload rec, len(seg) values of
+// precision p under scale s, into seg. FP32 and FP16 values dequantize in
+// float64 and convert once at the end: the band scale is a power of two
+// that may be subnormal in float32, where multiplying in float32 would
+// flush the result to zero, and the product q*s is exact in float64, so
+// the only rounding a float32 caller sees is that final conversion (for
+// FP32 bands with a normal scale it reproduces the quantized payload bit
+// for bit). The loops are a leaf of their own so that their few values
+// stay in registers: inside decodeStep they spilled, and the range walk
+// measured 13 % slower for it.
+func dequantize[E sht.Real](seg []E, rec []byte, p tile.Precision, s float64, f16 *[1 << 16]float64) {
+	switch {
+	case p == tile.FP64:
+		for i := range seg {
+			seg[i] = E(math.Float64frombits(binary.LittleEndian.Uint64(rec[8*i:])))
+		}
+	case p == tile.FP32:
+		for i := range seg {
+			seg[i] = E(float64(math.Float32frombits(binary.LittleEndian.Uint32(rec[4*i:]))) * s)
+		}
+	case f16 != nil:
+		for i := range seg {
+			seg[i] = E(f16[binary.LittleEndian.Uint16(rec[2*i:])] * s)
+		}
+	default:
+		for i := range seg {
+			seg[i] = E(half.Float16(binary.LittleEndian.Uint16(rec[2*i:])).Float64() * s)
+		}
+	}
 }
 
 // chunkRef locates one chunk in the file.

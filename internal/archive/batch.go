@@ -1,15 +1,12 @@
 package archive
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"exaclim/internal/half"
 	"exaclim/internal/sht"
 	"exaclim/internal/sphere"
-	"exaclim/internal/tile"
 )
 
 // Chunk-granular batch decode: series queries (/v1/point, /v1/points,
@@ -17,7 +14,7 @@ import (
 // in the same archive chunk. ReadPackedRange walks a step range one
 // chunk at a time — coordinate checks, chunk bookkeeping and metric
 // events amortize to once per chunk instead of once per step — and
-// decodes through a float16 lookup table that stays hot across the
+// hands decodeStep a float16 lookup table that stays hot across the
 // steps of a chunk. Every decoded value is bit-identical to the
 // per-step ReadPacked path (pinned by TestReadPackedRangeMatchesReadPacked).
 
@@ -31,64 +28,18 @@ import (
 // step cannot amortize warming half a megabyte of table.
 var fp16Vals struct {
 	once sync.Once
-	tab  []float64
+	tab  *[1 << 16]float64 // an array, so a uint16 index needs no bounds check
 }
 
-func fp16Table() []float64 {
+func fp16Table() *[1 << 16]float64 {
 	fp16Vals.once.Do(func() {
-		tab := make([]float64, 1<<16)
+		tab := new([1 << 16]float64)
 		for i := range tab {
 			tab[i] = half.Float16(uint16(i)).Float64()
 		}
 		fp16Vals.tab = tab
 	})
 	return fp16Vals.tab
-}
-
-// decodeStepLUT is decodeStep with the FP16 bands decoded through
-// fp16Table. Identical output, fewer branches per value; used by the
-// batch range path where the table stays cache-resident across steps.
-func decodeStepLUT(data []byte, bands []Band, dst []float64, f16 []float64) error {
-	off := 0
-	for _, b := range bands {
-		if off+8 > len(data) {
-			return fmt.Errorf("archive: step record truncated at band %v", b)
-		}
-		s := math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-		n := b.Coeffs()
-		seg := dst[b.Lo*b.Lo : b.Hi*b.Hi]
-		switch b.Prec {
-		case tile.FP64:
-			if off+8*n > len(data) {
-				return fmt.Errorf("archive: step record truncated at band %v", b)
-			}
-			for i := 0; i < n; i++ {
-				seg[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off+8*i:]))
-			}
-			off += 8 * n
-		case tile.FP32:
-			if off+4*n > len(data) {
-				return fmt.Errorf("archive: step record truncated at band %v", b)
-			}
-			for i := 0; i < n; i++ {
-				seg[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off+4*i:]))) * s
-			}
-			off += 4 * n
-		case tile.FP16:
-			if off+2*n > len(data) {
-				return fmt.Errorf("archive: step record truncated at band %v", b)
-			}
-			for i := 0; i < n; i++ {
-				seg[i] = f16[binary.LittleEndian.Uint16(data[off+2*i:])] * s
-			}
-			off += 2 * n
-		}
-	}
-	if off != len(data) {
-		return fmt.Errorf("archive: step record has %d trailing bytes", len(data)-off)
-	}
-	return nil
 }
 
 // ReadPackedRange decodes steps [t0, t1) in ascending order, calling fn
@@ -106,7 +57,9 @@ func decodeStepLUT(data []byte, bands []Band, dst []float64, f16 []float64) erro
 // Metrics: MetricStepDecodes and MetricChunkHits/Misses count as for
 // per-step reads, and every step beyond a chunk's first adds to
 // MetricChunkAmortized — the count of decodes that skipped per-step
-// chunk lookups because a batched walk kept the chunk in hand.
+// chunk lookups because a batched walk kept the chunk in hand. A walk
+// that fn (or a corrupt record) stops early still reports every step it
+// decoded, the one fn rejected included.
 func (s *Series) ReadPackedRange(t0, t1 int, fn func(t int, packed []float64) error) error {
 	if t0 == t1 {
 		return nil
@@ -128,37 +81,26 @@ func (s *Series) ReadPackedRange(t0, t1 int, fn func(t int, packed []float64) er
 	cs := s.r.h.ChunkSteps
 	for t := t0; t < t1; {
 		k := t / cs
-		if s.chunk != k {
-			// Invalidate before reading, as in record: a failed readChunk
-			// clobbers the reused buffer.
-			s.chunk = -1
-			s.observe(MetricChunkMisses, 1)
-			raw, _, ct0, err := s.r.readChunk(s.sid, k, s.buf)
-			if err != nil {
-				return err
-			}
-			if s.sink != nil {
-				s.sink.Add(MetricReadBytes, int64(len(raw)))
-			}
-			s.buf, s.t0, s.chunk = raw, ct0, k
-		} else {
-			s.observe(MetricChunkHits, 1)
+		if err := s.loadChunk(k); err != nil {
+			return err
 		}
-		payload := s.buf[chunkHeaderLen : len(s.buf)-4]
 		end := min((k+1)*cs, t1)
-		steps := int64(end - t)
-		for ; t < end; t++ {
-			rec := payload[(t-s.t0)*s.r.stepB : (t-s.t0+1)*s.r.stepB]
-			if err := decodeStepLUT(rec, s.r.h.Bands, buf, f16); err != nil {
-				return err
-			}
-			if err := fn(t, buf); err != nil {
-				return err
+		var decoded int64
+		var err error
+		for ; t < end && err == nil; t++ {
+			if err = decodeStep(s.stepRecord(t), s.r.h.Bands, buf, f16); err == nil {
+				decoded++
+				err = fn(t, buf)
 			}
 		}
-		s.observe(MetricStepDecodes, steps)
-		if steps > 1 {
-			s.observe(MetricChunkAmortized, steps-1)
+		if decoded > 0 {
+			s.observe(MetricStepDecodes, decoded)
+		}
+		if decoded > 1 {
+			s.observe(MetricChunkAmortized, decoded-1)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -173,12 +115,9 @@ func (s *Series) EachField(t0, t1 int, fn func(t int, f sphere.Field) error) err
 	if err != nil {
 		return err
 	}
-	if s.coeffs.L == 0 {
-		s.coeffs = sht.NewCoeffs(s.r.h.L)
-	}
 	field := sphere.NewField(s.r.h.Grid)
 	return s.ReadPackedRange(t0, t1, func(t int, packed []float64) error {
-		plan.SynthesizeInto(field, sht.UnpackRealInto(s.coeffs, packed))
+		sht.SynthesizePacked(plan, field.Data, packed)
 		return fn(t, field)
 	})
 }

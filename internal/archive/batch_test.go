@@ -11,7 +11,7 @@ import (
 )
 
 // mixedBands is the three-precision layout the batch decode must cover:
-// every branch of decodeStepLUT, including the FP16 lookup table.
+// every branch of decodeStep, including the FP16 lookup table.
 func mixedBands(L int) []Band {
 	return []Band{{0, 2, tile.FP64}, {2, L / 2, tile.FP32}, {L / 2, L, tile.FP16}}
 }
@@ -169,6 +169,48 @@ func TestReadPackedRangeObserves(t *testing.T) {
 	}
 	if got := sink.get(MetricReadBytes); got <= 0 {
 		t.Errorf("read bytes = %d, want > 0", got)
+	}
+}
+
+// TestReadPackedRangeCountsAbandonedWalk pins the accounting of a walk
+// its callback abandons (a cancelled request): the steps decoded before
+// the stop — the one handed to the failing call included — are reported,
+// to the cursor sink and the reader sink alike. Before the fix the early
+// return skipped the whole chunk's count, so a series cancelled mid-chunk
+// under-reported by up to ChunkSteps decodes.
+func TestReadPackedRangeCountsAbandonedWalk(t *testing.T) {
+	const L = 8
+	r, h, _ := openTestArchive(t, L, mixedBands(L))
+	total := &countingSink{m: map[string]int64{}}
+	r.SetObserver(total)
+	s, err := r.Series(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &countingSink{m: map[string]int64{}}
+	s.SetObserver(sink)
+	cancelled := errTest("cancelled")
+	// Chunks of 3: stopping at step 4 abandons the second chunk after its
+	// second step. Decoded: 0 1 2 | 3 4.
+	err = s.ReadPackedRange(0, h.Steps, func(tt int, _ []float64) error {
+		if tt == 4 {
+			return cancelled
+		}
+		return nil
+	})
+	if err != cancelled {
+		t.Fatalf("walk returned %v, want the callback's error", err)
+	}
+	for name, c := range map[string]*countingSink{"cursor": sink, "reader": total} {
+		if got := c.get(MetricStepDecodes); got != 5 {
+			t.Errorf("%s sink: step decodes = %d, want 5", name, got)
+		}
+		if got := c.get(MetricChunkAmortized); got != 3 {
+			t.Errorf("%s sink: chunk amortized = %d, want (3-1)+(2-1) = 3", name, got)
+		}
+		if got := c.get(MetricChunkMisses); got != 2 {
+			t.Errorf("%s sink: chunk misses = %d, want 2", name, got)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -67,7 +68,12 @@ func FuzzDecodeChunk(f *testing.F) {
 	f.Add(0, []byte{0x00})
 	f.Add(len(valid)/2, []byte{0xff, 0xff, 0xff, 0xff})
 	f.Add(len(valid)-5, []byte{0x01})
+	// Whole step records, intact and cut short: the decoder's own corpus.
+	rec := valid[headerPrefixLen+9*len(h.Bands)+4+chunkHeaderLen:][:h.StepBytes()]
+	f.Add(0, append([]byte(nil), rec...))
+	f.Add(0, append([]byte(nil), rec[:len(rec)-3]...))
 	f.Fuzz(func(t *testing.T, pos int, patch []byte) {
+		fuzzDecodeStep(t, h, patch)
 		if len(patch) == 0 || len(patch) > len(valid) {
 			return
 		}
@@ -94,4 +100,37 @@ func FuzzDecodeChunk(f *testing.F) {
 			packed, _ = cur.ReadPacked(tt, packed)
 		}
 	})
+}
+
+// fuzzDecodeStep hands rec to the step decoder as a raw record — past
+// the CRC that shields it inside a file — at both widths, with and
+// without the FP16 table: it must reject a malformed record with an
+// error, never index out of range, and on a well-formed one the four
+// instantiations must agree (the table to the bit, float32 as the
+// float64 value rounded once).
+func fuzzDecodeStep(t *testing.T, h Header, rec []byte) {
+	d64, l64 := make([]float64, h.Dim()), make([]float64, h.Dim())
+	d32, l32 := make([]float32, h.Dim()), make([]float32, h.Dim())
+	err := decodeStep(rec, h.Bands, d64, nil)
+	for i, e := range []error{
+		decodeStep(rec, h.Bands, l64, fp16Table()),
+		decodeStep(rec, h.Bands, d32, nil),
+		decodeStep(rec, h.Bands, l32, fp16Table()),
+	} {
+		if (e == nil) != (err == nil) {
+			t.Fatalf("instantiation %d: error %v, float64 arithmetic decode: %v", i+1, e, err)
+		}
+	}
+	if err != nil {
+		return
+	}
+	for i, v := range d64 {
+		// NaN payloads compare by bits, like everything else here.
+		if math.Float64bits(l64[i]) != math.Float64bits(v) {
+			t.Fatalf("coeff %d: table decode %x, arithmetic %x", i, math.Float64bits(l64[i]), math.Float64bits(v))
+		}
+		if w := float32(v); math.Float32bits(d32[i]) != math.Float32bits(w) || math.Float32bits(l32[i]) != math.Float32bits(w) {
+			t.Fatalf("coeff %d: float32 decodes %g / %g, float64 value rounds to %g", i, d32[i], l32[i], w)
+		}
+	}
 }

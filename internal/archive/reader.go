@@ -270,46 +270,32 @@ func (r *Reader) fetchRecord(member, scenario, t int) (*[]byte, error) {
 // The returned data is always caller-owned: it never aliases the chunk
 // cache, so it stays valid across any later reads.
 func (r *Reader) ReadPacked(member, scenario, t int, dst []float64) ([]float64, error) {
-	if err := r.h.checkCoord(member, scenario, t); err != nil {
-		return nil, err
-	}
-	if cap(dst) < r.dim {
-		dst = make([]float64, r.dim)
-	}
-	dst = dst[:r.dim]
-	recp, err := r.fetchRecord(member, scenario, t)
-	if err != nil {
-		return nil, err
-	}
-	err = decodeStep((*recp)[:r.stepB], r.h.Bands, dst)
-	r.recPool.Put(recp)
-	if err != nil {
-		return nil, err
-	}
-	r.observe(MetricStepDecodes, 1)
-	return dst, nil
+	return ReadPackedInto(r, member, scenario, t, dst)
 }
 
-// ReadPackedF32 decodes the packed coefficient vector of step t of
-// (member, scenario) straight to float32, never materializing a float64
-// vector. Archived payloads are at most float32 wide (FP64 bands
-// excepted), so for FP32 and FP16 bands the narrowing loses nothing
-// beyond what quantization already spent; the float64 grid round-trip
-// the serving hot path used to pay is pure overhead this entry point
-// removes. Data is caller-owned, as with ReadPacked.
+// ReadPackedF32 is ReadPacked decoding straight to float32. Archived
+// payloads are at most float32 wide (FP64 bands excepted), so for FP32
+// and FP16 bands the narrowing loses nothing beyond what quantization
+// already spent.
 func (r *Reader) ReadPackedF32(member, scenario, t int, dst []float32) ([]float32, error) {
+	return ReadPackedInto(r, member, scenario, t, dst)
+}
+
+// ReadPackedInto is ReadPacked at either width (methods cannot be
+// generic), for callers generic over it themselves.
+func ReadPackedInto[E sht.Real](r *Reader, member, scenario, t int, dst []E) ([]E, error) {
 	if err := r.h.checkCoord(member, scenario, t); err != nil {
 		return nil, err
 	}
 	if cap(dst) < r.dim {
-		dst = make([]float32, r.dim)
+		dst = make([]E, r.dim)
 	}
 	dst = dst[:r.dim]
 	recp, err := r.fetchRecord(member, scenario, t)
 	if err != nil {
 		return nil, err
 	}
-	err = decodeStepF32((*recp)[:r.stepB], r.h.Bands, dst)
+	err = decodeStep((*recp)[:r.stepB], r.h.Bands, dst, nil)
 	r.recPool.Put(recp)
 	if err != nil {
 		return nil, err
@@ -329,7 +315,9 @@ func (r *Reader) ReadField(member, scenario, t int) (sphere.Field, error) {
 	if err != nil {
 		return sphere.Field{}, err
 	}
-	return plan.Synthesize(sht.UnpackReal(packed)), nil
+	out := sphere.NewField(r.h.Grid)
+	sht.SynthesizePacked(plan, out.Data, packed)
+	return out, nil
 }
 
 // EachField streams the full series of (member, scenario) through fn in
@@ -389,7 +377,6 @@ type Series struct {
 	plan     *sht.Plan // lazily built; sequential unless overridden
 	packed   []float64
 	rangeBuf []float64 // ReadPackedRange's yielded vector (cursor-owned)
-	coeffs   sht.Coeffs
 
 	sink obs.Sink // optional per-cursor sink; see Series.SetObserver
 }
@@ -420,68 +407,53 @@ func (s *Series) Scenario() int { return s.scenario }
 // Steps returns the number of steps in the series.
 func (s *Series) Steps() int { return s.r.h.Steps }
 
-// record returns a view of the raw step record of step t inside the
-// cursor's chunk buffer, loading the right chunk first. The view is
-// valid until the next record call.
-func (s *Series) record(t int) ([]byte, error) {
-	if err := s.r.h.checkCoord(s.member, s.scenario, t); err != nil {
-		return nil, err
-	}
-	k := t / s.r.h.ChunkSteps
-	if s.chunk != k {
-		// Invalidate before reading: a failed readChunk clobbers the
-		// reused buffer, so the old cache key must not survive it.
-		s.chunk = -1
-		s.observe(MetricChunkMisses, 1)
-		raw, _, t0, err := s.r.readChunk(s.sid, k, s.buf)
-		if err != nil {
-			return nil, err
-		}
-		if s.sink != nil {
-			// readChunk reports its byte count to the reader sink only;
-			// mirror it to the cursor sink so per-request attribution sees
-			// the I/O its own chunk misses caused.
-			s.sink.Add(MetricReadBytes, int64(len(raw)))
-		}
-		s.buf, s.t0, s.chunk = raw, t0, k
-	} else {
+// loadChunk makes chunk k the cursor's resident chunk, reading it unless
+// it already is — the one chunk loader under per-step and range reads.
+func (s *Series) loadChunk(k int) error {
+	if s.chunk == k {
 		s.observe(MetricChunkHits, 1)
+		return nil
 	}
-	payload := s.buf[chunkHeaderLen : len(s.buf)-4]
-	return payload[(t-s.t0)*s.r.stepB : (t-s.t0+1)*s.r.stepB], nil
+	// Invalidate before reading: a failed readChunk clobbers the reused
+	// buffer, so the old cache key must not survive it.
+	s.chunk = -1
+	s.observe(MetricChunkMisses, 1)
+	raw, _, t0, err := s.r.readChunk(s.sid, k, s.buf)
+	if err != nil {
+		return err
+	}
+	if s.sink != nil {
+		// readChunk reports its byte count to the reader sink only;
+		// mirror it to the cursor sink so per-request attribution sees
+		// the I/O its own chunk misses caused.
+		s.sink.Add(MetricReadBytes, int64(len(raw)))
+	}
+	s.buf, s.t0, s.chunk = raw, t0, k
+	return nil
+}
+
+// stepRecord returns a view of the raw record of step t, which must lie
+// in the resident chunk. The view is valid until the next loadChunk.
+func (s *Series) stepRecord(t int) []byte {
+	off := chunkHeaderLen + (t-s.t0)*s.r.stepB
+	return s.buf[off : off+s.r.stepB]
 }
 
 // ReadPacked decodes the packed coefficient vector of step t into dst
 // (allocated when too small) and returns it. Like Reader.ReadPacked, the
 // returned data never aliases cursor state.
 func (s *Series) ReadPacked(t int, dst []float64) ([]float64, error) {
+	if err := s.r.h.checkCoord(s.member, s.scenario, t); err != nil {
+		return nil, err
+	}
 	if cap(dst) < s.r.dim {
 		dst = make([]float64, s.r.dim)
 	}
 	dst = dst[:s.r.dim]
-	rec, err := s.record(t)
-	if err != nil {
+	if err := s.loadChunk(t / s.r.h.ChunkSteps); err != nil {
 		return nil, err
 	}
-	if err := decodeStep(rec, s.r.h.Bands, dst); err != nil {
-		return nil, err
-	}
-	s.observe(MetricStepDecodes, 1)
-	return dst, nil
-}
-
-// ReadPackedF32 decodes step t straight to float32 (see
-// Reader.ReadPackedF32). Data never aliases cursor state.
-func (s *Series) ReadPackedF32(t int, dst []float32) ([]float32, error) {
-	if cap(dst) < s.r.dim {
-		dst = make([]float32, s.r.dim)
-	}
-	dst = dst[:s.r.dim]
-	rec, err := s.record(t)
-	if err != nil {
-		return nil, err
-	}
-	if err := decodeStepF32(rec, s.r.h.Bands, dst); err != nil {
+	if err := decodeStep(s.stepRecord(t), s.r.h.Bands, dst, nil); err != nil {
 		return nil, err
 	}
 	s.observe(MetricStepDecodes, 1)
@@ -518,10 +490,7 @@ func (s *Series) ReadFieldInto(dst sphere.Field, t int) error {
 		return err
 	}
 	s.packed = packed
-	if s.coeffs.L == 0 {
-		s.coeffs = sht.NewCoeffs(s.r.h.L)
-	}
-	plan.SynthesizeInto(dst, sht.UnpackRealInto(s.coeffs, packed))
+	sht.SynthesizePacked(plan, dst.Data, packed)
 	return nil
 }
 

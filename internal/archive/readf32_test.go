@@ -47,35 +47,6 @@ func TestReadPackedF32MatchesF64(t *testing.T) {
 	}
 }
 
-// TestSeriesReadPackedF32 pins the cursor's float32 path against the
-// reader's, across chunk boundaries and revisits.
-func TestSeriesReadPackedF32(t *testing.T) {
-	r, h, _ := openTestArchive(t, 8, UniformBands(8, tile.FP32))
-	cur, err := r.Series(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf []float32
-	for _, tt := range []int{0, 6, 3, 3, 1, 5, 2, 4, 0} {
-		buf, err = cur.ReadPackedF32(tt, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := r.ReadPackedF32(1, 0, tt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range buf {
-			if buf[i] != want[i] {
-				t.Fatalf("step %d coeff %d: cursor=%g reader=%g", tt, i, buf[i], want[i])
-			}
-		}
-	}
-	if _, err := cur.ReadPackedF32(h.Steps, nil); err == nil {
-		t.Error("expected error for out-of-range step")
-	}
-}
-
 // TestReadPackedF32QuantBound checks the float32 decode against the
 // original (pre-archive) coefficients: the narrowing must stay inside
 // the per-element quantization bound the policy already promises, plus

@@ -496,9 +496,9 @@ func (m *Model) burnIn() int { return 10*m.VAR.P + 50 }
 // the serial path and the ensemble engine: inverse-transform the packed
 // spectral state, add the nugget drawn from the member's rng, and restore
 // the deterministic component mean (which may carry scenario forcing)
-// into out. coeffs is caller-owned scratch; nothing is allocated.
-func generateStep(plan *sht.Plan, coeffs sht.Coeffs, packed []float64, nug []float64, rng *rand.Rand, mean *trend.Step, out sphere.Field) {
-	plan.SynthesizeInto(out, sht.UnpackRealInto(coeffs, packed))
+// into out. Nothing is allocated.
+func generateStep(plan *sht.Plan, packed []float64, nug []float64, rng *rand.Rand, mean *trend.Step, out sphere.Field) {
+	sht.SynthesizePacked(plan, out.Data, packed)
 	for pix := range out.Data {
 		out.Data[pix] += nug[pix] * rng.NormFloat64()
 	}
@@ -515,12 +515,11 @@ func (m *Model) emulateStream(plan *sht.Plan, fit *trend.Fit, seed int64, t0, T 
 	rng := rand.New(rand.NewSource(seed))
 	v := m.dense()
 	nug := m.nuggetSD()
-	coeffs := sht.NewCoeffs(m.Cfg.L)
 	var mean trend.Step
 	m.VAR.Simulate(v, rng, m.burnIn(), T, func(t int, f []float64) {
 		field := sphere.NewField(m.Grid)
 		fit.StepAt(0, t0+t, &mean)
-		generateStep(plan, coeffs, f, nug, rng, &mean, field)
+		generateStep(plan, f, nug, rng, &mean, field)
 		fn(t, field)
 	})
 }

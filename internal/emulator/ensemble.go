@@ -6,7 +6,6 @@ import (
 
 	"exaclim/internal/linalg"
 	"exaclim/internal/par"
-	"exaclim/internal/sht"
 	"exaclim/internal/sphere"
 	"exaclim/internal/trend"
 )
@@ -61,10 +60,9 @@ func MemberSeed(base int64, member, scenario int) int64 {
 
 // ensembleScratch bundles the per-worker buffers of the ensemble engine:
 // a packed coefficient column gathered from the batched state matrix
-// plus the spectral scratch and output field of generateStep.
+// plus the output field of generateStep.
 type ensembleScratch struct {
 	packed []float64
-	coeffs sht.Coeffs
 	field  sphere.Field
 }
 
@@ -143,7 +141,6 @@ func (m *Model) EmulateEnsemble(spec EnsembleSpec, emit func(member, scenario, t
 				if scr == nil {
 					scr = &ensembleScratch{
 						packed: make([]float64, dim),
-						coeffs: sht.NewCoeffs(m.Cfg.L),
 						field:  sphere.NewField(m.Grid),
 					}
 					scratch[g] = scr
@@ -151,7 +148,7 @@ func (m *Model) EmulateEnsemble(spec EnsembleSpec, emit func(member, scenario, t
 				for d := 0; d < dim; d++ {
 					scr.packed[d] = states.Data[d*M+member]
 				}
-				generateStep(seqPlan, scr.coeffs, scr.packed, nug, rngs[member], &mean, scr.field)
+				generateStep(seqPlan, scr.packed, nug, rngs[member], &mean, scr.field)
 				emit(member, s, t, scr.field)
 			})
 		})

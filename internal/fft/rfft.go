@@ -126,7 +126,17 @@ func (p *RealPlan) Forward(spec []complex128, src []float64) {
 // output to be exactly the real sequence implied, spec[0] (and, for even
 // n, spec[n/2]) should carry zero imaginary part; any imaginary residue
 // there is dropped.
-func (p *RealPlan) Inverse(dst []float64, spec []complex128) {
+func (p *RealPlan) Inverse(dst []float64, spec []complex128) { InverseInto(p, dst, spec) }
+
+// InverseF32 is Inverse with the output narrowed to float32 in the
+// de-interleave pass itself, for callers that keep float32 grids.
+func (p *RealPlan) InverseF32(dst []float32, spec []complex128) { InverseInto(p, dst, spec) }
+
+// InverseInto is Inverse for either output width (methods cannot be
+// generic): the transform runs in complex128 whatever E is, and only the
+// de-interleave pass that writes dst converts, so a float32 caller skips
+// the float64 row a separate narrowing pass would need.
+func InverseInto[E float32 | float64](p *RealPlan, dst []E, spec []complex128) {
 	if len(dst) != p.n || len(spec) != p.SpecLen() {
 		panic(fmt.Sprintf("fft: real inverse size mismatch: dst %d spec %d want %d/%d",
 			len(dst), len(spec), p.n, p.SpecLen()))
@@ -142,46 +152,15 @@ func (p *RealPlan) Inverse(dst []float64, spec []complex128) {
 		}
 		p.full.Inverse(z, z)
 		for j := 0; j < n; j++ {
-			dst[j] = real(z[j])
+			dst[j] = E(real(z[j]))
 		}
 		return
 	}
 	h := p.n / 2
 	z := p.transformHalf(spec)
 	for j := 0; j < h; j++ {
-		dst[2*j] = real(z[j]) * 0.5
-		dst[2*j+1] = imag(z[j]) * 0.5
-	}
-}
-
-// InverseF32 is Inverse with the output narrowed to float32 in the
-// de-interleave pass itself, for callers that keep float32 grids — it
-// skips the float64 intermediate row a separate narrowing pass would
-// need. Same normalization and contracts as Inverse.
-func (p *RealPlan) InverseF32(dst []float32, spec []complex128) {
-	if len(dst) != p.n || len(spec) != p.SpecLen() {
-		panic(fmt.Sprintf("fft: real inverse size mismatch: dst %d spec %d want %d/%d",
-			len(dst), len(spec), p.n, p.SpecLen()))
-	}
-	if p.full != nil {
-		n := p.n
-		z := p.spec
-		z[0] = complex(real(spec[0]), 0)
-		for k := 1; k <= n/2; k++ {
-			z[k] = spec[k]
-			z[n-k] = complex(real(spec[k]), -imag(spec[k]))
-		}
-		p.full.Inverse(z, z)
-		for j := 0; j < n; j++ {
-			dst[j] = float32(real(z[j]))
-		}
-		return
-	}
-	h := p.n / 2
-	z := p.transformHalf(spec)
-	for j := 0; j < h; j++ {
-		dst[2*j] = float32(real(z[j]) * 0.5)
-		dst[2*j+1] = float32(imag(z[j]) * 0.5)
+		dst[2*j] = E(real(z[j]) * 0.5)
+		dst[2*j+1] = E(imag(z[j]) * 0.5)
 	}
 }
 
@@ -189,7 +168,7 @@ func (p *RealPlan) InverseF32(dst []float32, spec []complex128) {
 // interleaved sequence — Z[k] = (X[k] + conj(X[h-k])) + i*w[k]*(X[k] -
 // conj(X[h-k])) — and inverts it in place. The inverse of Z is u[j] =
 // x[2j]/2 + i*x[2j+1]/2 under the 1/h normalization of the half plan,
-// hence the halving in the de-interleave passes above.
+// hence the halving in the de-interleave pass above.
 func (p *RealPlan) transformHalf(spec []complex128) []complex128 {
 	h := p.n / 2
 	z := p.spec

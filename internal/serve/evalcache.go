@@ -9,9 +9,9 @@ import (
 	"exaclim/internal/sht"
 )
 
-// evalCache is an LRU of sht.PointEvaluator keyed by quantized (lat,
+// evalCache is an LRU of one-row sht.Evaluators keyed by quantized (lat,
 // lon): dashboards poll the same handful of locations over and over, and
-// each PointEvaluator costs an O(L^2) Legendre recursion to build while
+// each evaluator costs an O(L^2) Legendre recursion to build while
 // being immutable (and thus shareable across requests) afterwards. The
 // key quantum (1e-6 degree, ~0.1 m on the ground) collapses
 // textually-identical coordinates onto one slot; an entry additionally
@@ -37,7 +37,7 @@ type evalKey struct{ qlat, qlon int64 }
 type evalEntry struct {
 	key      evalKey
 	lat, lon float64
-	ev       *sht.PointEvaluator
+	ev       *sht.Evaluator
 }
 
 func quantize(v float64) int64 { return int64(math.Round(v / evalQuantum)) }
@@ -51,9 +51,9 @@ func newEvalCache(capEntries int) *evalCache {
 // get returns a shared evaluator for (lat, lon) in degrees, building and
 // caching one on miss; hit reports whether a cached one was reused (the
 // trace eval span records it). theta/phi follow the angles() convention.
-func (c *evalCache) get(L int, lat, lon, theta, phi float64) (ev *sht.PointEvaluator, hit bool) {
+func (c *evalCache) get(L int, lat, lon, theta, phi float64) (ev *sht.Evaluator, hit bool) {
 	if c.cap < 1 {
-		return sht.NewPointEvaluator(L, theta, phi), false
+		return sht.NewPointBatchEvaluator(L, []float64{theta}, []float64{phi}), false
 	}
 	key := evalKey{qlat: quantize(lat), qlon: quantize(lon)}
 	c.mu.Lock()
@@ -70,7 +70,7 @@ func (c *evalCache) get(L int, lat, lon, theta, phi float64) (ev *sht.PointEvalu
 	// Build outside the lock: the recursion is the expensive part, and
 	// a duplicate build under a race is harmless (last insert wins).
 	c.misses.Add(1)
-	ev = sht.NewPointEvaluator(L, theta, phi)
+	ev = sht.NewPointBatchEvaluator(L, []float64{theta}, []float64{phi})
 	e := &evalEntry{key: key, lat: lat, lon: lon, ev: ev}
 	c.mu.Lock()
 	if el, ok := c.m[key]; ok {

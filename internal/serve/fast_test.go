@@ -18,11 +18,10 @@ import (
 )
 
 // TestPointsSeriesMatchesPointSeries checks the batched multi-point path
-// against P independent PointSeries calls. The batch evaluator folds
-// coefficients in a different association order than the per-point
-// evaluator, so agreement is pinned to the 1e-10 acceptance bound rather
-// than bit-identity (see sht/batch_test.go for why exact equality is
-// unattainable).
+// against P independent PointSeries calls at the 1e-10 acceptance bound
+// it has carried since the batch evaluator folded coefficients in its own
+// association order. Every location is now one weight row, so the two
+// agree exactly: TestPointsRowsBitIdenticalToPoint pins that.
 func TestPointsSeriesMatchesPointSeries(t *testing.T) {
 	s, _ := testServer(t)
 	lats := []float64{0, 30, 30, -72.5, 89.9, -89.9, 45}
@@ -105,9 +104,9 @@ func TestPointsSeriesLive(t *testing.T) {
 
 // TestFieldF32Path pins the float32 pipeline's accuracy against the
 // float64 field and the f32 cache's hit behavior. The two pipelines
-// round at different points (f32 decode, f32 Legendre tables), so the
-// bound is float32 working precision relative to the field scale, not
-// bit-identity.
+// round at different points (f32 decode going in, one rounding per pixel
+// coming out), so the bound is float32 working precision relative to the
+// field scale, not bit-identity.
 func TestFieldF32Path(t *testing.T) {
 	s, _ := testServer(t)
 	want, err := s.Field(context.Background(), 2, 1, 11)

@@ -401,8 +401,9 @@ func (s *Server) handleField(w http.ResponseWriter, r *http.Request) {
 	}
 	g := s.h.Grid
 	if r.URL.Query().Get("format") == "f32" {
-		// The float32 fast path: decode, synthesis, cache and response
-		// all stay float32 wide; no float64 grid ever exists.
+		// The float32 path: for an archived field decode, synthesis
+		// output, cache and response all stay float32 wide and no float64
+		// grid ever exists; a live one is narrowed from the float64 cache.
 		data, err := s.FieldF32(r.Context(), member, scenario, t)
 		if err != nil {
 			httpError(w, err)
@@ -437,83 +438,65 @@ func (s *Server) seriesParams(r *http.Request) (member, scenario, t0, t1 int, er
 	return
 }
 
-func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
+// handleSeries is the shape the three series endpoints share: parse the
+// common member/scenario/t0/t1 parameters, let query parse its own and
+// run, and write its response — or the first error on the way.
+func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request, query func(member, scenario, t0, t1 int) (any, error)) {
 	member, scenario, t0, t1, err := s.seriesParams(r)
-	if err != nil {
-		httpError(w, err)
-		return
+	if err == nil {
+		var resp any
+		if resp, err = query(member, scenario, t0, t1); err == nil {
+			writeJSON(w, r, resp)
+			return
+		}
 	}
-	lat, err := queryFloat(r, "lat")
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	lon, err := queryFloat(r, "lon")
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	values, err := s.PointSeries(r.Context(), member, scenario, lat, lon, t0, t1)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	writeJSON(w, r, SeriesResponse{Member: member, Scenario: scenario, T0: t0, Values: values})
+	httpError(w, err)
+}
+
+func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
+	s.handleSeries(w, r, func(member, scenario, t0, t1 int) (any, error) {
+		lat, err := queryFloat(r, "lat")
+		if err != nil {
+			return nil, err
+		}
+		lon, err := queryFloat(r, "lon")
+		if err != nil {
+			return nil, err
+		}
+		values, err := s.PointSeries(r.Context(), member, scenario, lat, lon, t0, t1)
+		return SeriesResponse{Member: member, Scenario: scenario, T0: t0, Values: values}, err
+	})
 }
 
 func (s *Server) handlePoints(w http.ResponseWriter, r *http.Request) {
-	member, scenario, t0, t1, err := s.seriesParams(r)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	lats, err := queryFloatList(r, "lat")
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	lons, err := queryFloatList(r, "lon")
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	series, err := s.PointsSeries(r.Context(), member, scenario, lats, lons, t0, t1)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	writeJSON(w, r, PointsResponse{Member: member, Scenario: scenario, T0: t0, Series: series})
+	s.handleSeries(w, r, func(member, scenario, t0, t1 int) (any, error) {
+		lats, err := queryFloatList(r, "lat")
+		if err != nil {
+			return nil, err
+		}
+		lons, err := queryFloatList(r, "lon")
+		if err != nil {
+			return nil, err
+		}
+		series, err := s.PointsSeries(r.Context(), member, scenario, lats, lons, t0, t1)
+		return PointsResponse{Member: member, Scenario: scenario, T0: t0, Series: series}, err
+	})
 }
 
 func (s *Server) handleBox(w http.ResponseWriter, r *http.Request) {
-	member, scenario, t0, t1, err := s.seriesParams(r)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	var box Box
-	if box.LatMin, err = queryFloat(r, "lat0"); err != nil {
-		httpError(w, err)
-		return
-	}
-	if box.LatMax, err = queryFloat(r, "lat1"); err != nil {
-		httpError(w, err)
-		return
-	}
-	if box.LonMin, err = queryFloat(r, "lon0"); err != nil {
-		httpError(w, err)
-		return
-	}
-	if box.LonMax, err = queryFloat(r, "lon1"); err != nil {
-		httpError(w, err)
-		return
-	}
-	values, err := s.BoxSeries(r.Context(), member, scenario, box, t0, t1)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	writeJSON(w, r, SeriesResponse{Member: member, Scenario: scenario, T0: t0, Values: values})
+	s.handleSeries(w, r, func(member, scenario, t0, t1 int) (resp any, err error) {
+		var box Box
+		for _, p := range []struct {
+			name string
+			dst  *float64
+		}{{"lat0", &box.LatMin}, {"lat1", &box.LatMax}, {"lon0", &box.LonMin}, {"lon1", &box.LonMax}} {
+			if *p.dst, err = queryFloat(r, p.name); err != nil {
+				return nil, err
+			}
+		}
+		values, err := s.BoxSeries(r.Context(), member, scenario, box, t0, t1)
+		return SeriesResponse{Member: member, Scenario: scenario, T0: t0, Values: values}, err
+	})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -12,9 +12,9 @@
 //   - Point-wise spectral evaluation. A point or box query never
 //     materializes a full grid: the packed coefficient vector of each
 //     step is decoded through an independent archive.Series cursor and
-//     evaluated at the query location in O(L^2) by sht.PointEvaluator
-//     (a dot product) or per-ring by sht.RingEvaluator — orders of
-//     magnitude cheaper than full synthesis for L >= 64.
+//     multiplied by the query's sht.Evaluator weight rows — one row per
+//     location, one row for a whole box mean — at O(L^2) per row, orders
+//     of magnitude cheaper than full synthesis for L >= 64.
 //
 //   - A sharded LRU field cache with single-flight coalescing. N
 //     concurrent requests for the same field trigger exactly one
@@ -40,6 +40,7 @@ import (
 	"exaclim/internal/emulator"
 	"exaclim/internal/forcing"
 	"exaclim/internal/obs"
+	"exaclim/internal/obs/trace"
 	"exaclim/internal/sht"
 	"exaclim/internal/sphere"
 )
@@ -167,8 +168,6 @@ type Server struct {
 
 	evals *evalCache // point evaluators keyed by quantized (lat, lon)
 
-	scratch sync.Pool // *serveScratch, decode buffers for field loads
-
 	fieldLoads atomic.Int64 // underlying archive decode+synthesis count
 	liveLoads  atomic.Int64 // underlying live emulation runs
 	requests   atomic.Int64 // queries answered (any kind)
@@ -181,13 +180,6 @@ type Server struct {
 	reqIDBase string       // per-process request-ID prefix
 	reqIDSeq  atomic.Int64 // request-ID sequence within the process
 	logMu     sync.Mutex   // serializes request-log line writes
-}
-
-// serveScratch is the pooled per-load decode state.
-type serveScratch struct {
-	packed   []float64
-	packed32 []float32
-	coeffs   sht.Coeffs
 }
 
 // Stats is a point-in-time snapshot of the server's instrumentation.
@@ -273,13 +265,6 @@ func New(r *archive.Reader, model *emulator.Model, cfg Config) (*Server, error) 
 		r.SetObserver(s.metrics)
 	}
 	s.tracer = newTracer(cfg)
-	s.scratch.New = func() any {
-		return &serveScratch{
-			packed:   make([]float64, h.Dim()),
-			packed32: make([]float32, h.Dim()),
-			coeffs:   sht.NewCoeffs(h.L),
-		}
-	}
 	return s, nil
 }
 
@@ -405,125 +390,95 @@ func (s *Server) checkRange(member, scenario, t0, t1 int) error {
 // coalesced flight immediately, while the flight itself runs to
 // completion so the other waiters — and the cache — still get the field.
 func (s *Server) Field(ctx context.Context, member, scenario, t int) ([]float64, error) {
-	if err := s.check(member, scenario, t); err != nil {
+	if err := s.admitField(ctx, member, scenario, t); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s.requests.Add(1)
 	return s.field(ctx, member, scenario, t)
 }
 
-// field is Field without the request accounting — the internal path
-// composite queries (statistics, live series) fetch through, so one
-// client query counts once no matter how many fields it touches.
-func (s *Server) field(ctx context.Context, member, scenario, t int) ([]float64, error) {
-	ct := beginStage(ctx, stageCache)
-	defer ct.end()
-	ctx = ct.ctx(ctx) // load stages (decode, synthesis, emulate) nest under the cache span
-	key := cacheKey{live: s.isLive(scenario), member: member, scenario: scenario, t: t}
-	if key.live {
-		return s.cache.getOrLoad(ctx, key, func() ([]float64, error) {
-			return s.loadLiveField(ctx, member, scenario, t, t+1, nil)
-		})
-	}
-	return s.cache.getOrLoad(ctx, key, func() ([]float64, error) {
-		return s.loadArchiveField(ctx, member, scenario, t)
-	})
-}
-
-// loadArchiveField is the uncached archive read: decode the packed
-// coefficients and synthesize on the serving grid. ctx carries the
-// request's trace state only — the load itself is not cancellable
-// (single-flight waiters share its result).
-func (s *Server) loadArchiveField(ctx context.Context, member, scenario, t int) ([]float64, error) {
-	s.fieldLoads.Add(1)
-	sc := s.scratch.Get().(*serveScratch)
-	defer s.scratch.Put(sc)
-	dt := beginStage(ctx, stageDecode)
-	packed, err := s.r.ReadPacked(member, scenario, t, sc.packed)
-	if err != nil {
-		dt.end()
-		return nil, err
-	}
-	dt.attr("coeffs", int64(len(packed)))
-	dt.end()
-	sc.packed = packed
-	out := sphere.NewField(s.h.Grid)
-	st := beginStage(ctx, stageSynthesis)
-	st.attr("block", int64(s.plan.SynthBlock()))
-	s.plan.SynthesizeInto(out, sht.UnpackRealInto(sc.coeffs, packed))
-	st.end()
-	return out.Data, nil
-}
-
-// FieldF32 returns the full grid field of (member, scenario, t) as a
-// shared read-only float32 slice — the raw-speed twin of Field. For
-// archived scenarios the whole pipeline stays float32 wide: bands
-// decode straight to a float32 packed vector (archive.ReadPackedF32)
-// and synthesize through the float32 tables (sht.SynthesizeIntoF32),
-// never materializing a float64 grid. Results live in their own cache,
-// so a workload with only f32 consumers stores fields at half the
-// bytes and double the resident entry count.
+// FieldF32 is Field at float32, read-only like it. An archived field is
+// decoded and synthesized at float32 width end to end and lives in its
+// own cache, so a workload with only f32 consumers stores fields at half
+// the bytes and double the resident entry count. A live field is emulated
+// in float64 (pixel-space noise and VAR state are float64-native) and
+// cached once, at that width; an f32 request narrows the cached field
+// into a private copy.
 func (s *Server) FieldF32(ctx context.Context, member, scenario, t int) ([]float32, error) {
-	if err := s.check(member, scenario, t); err != nil {
+	if err := s.admitField(ctx, member, scenario, t); err != nil {
 		return nil, err
+	}
+	if !s.isLive(scenario) {
+		return archiveField(ctx, s, s.cache32, member, scenario, t)
+	}
+	data, err := s.field(ctx, member, scenario, t)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float32, len(data))
+	for i, v := range data {
+		out[i] = float32(v)
+	}
+	return out, nil
+}
+
+// admitField validates a field query, observes a cancellation that
+// preceded it, and counts the request.
+func (s *Server) admitField(ctx context.Context, member, scenario, t int) error {
+	if err := s.check(member, scenario, t); err != nil {
+		return err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	s.requests.Add(1)
+	return nil
+}
+
+// field is Field without the request accounting — the internal path
+// composite queries (statistics, live f32 fields) fetch through, so one
+// client query counts once no matter how many fields it touches.
+func (s *Server) field(ctx context.Context, member, scenario, t int) ([]float64, error) {
+	if !s.isLive(scenario) {
+		return archiveField(ctx, s, s.cache, member, scenario, t)
+	}
 	ct := beginStage(ctx, stageCache)
 	defer ct.end()
-	ctx = ct.ctx(ctx)
-	key := cacheKey{live: s.isLive(scenario), member: member, scenario: scenario, t: t}
-	if key.live {
-		// Live fields are emulated in float64 (pixel-space noise and VAR
-		// state are float64-native); the f32 cache stores the narrowed
-		// copy so repeat f32 requests skip both emulation and narrowing.
-		// A captured trace shows the inner f64 fetch as a second,
-		// nested "cache" span — the two caches really are consulted in
-		// sequence on this path.
-		return s.cache32.getOrLoad(ctx, key, func() ([]float32, error) {
-			data, err := s.field(ctx, member, scenario, t)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]float32, len(data))
-			for i, v := range data {
-				out[i] = float32(v)
-			}
-			return out, nil
-		})
-	}
-	return s.cache32.getOrLoad(ctx, key, func() ([]float32, error) {
-		return s.loadArchiveFieldF32(ctx, member, scenario, t)
+	ctx = ct.ctx(ctx) // the emulate stage nests under the cache span
+	key := cacheKey{live: true, member: member, scenario: scenario, t: t}
+	return s.cache.getOrLoad(ctx, key, func() ([]float64, error) {
+		return s.loadLiveField(ctx, member, scenario, t, t+1, nil)
 	})
 }
 
-// loadArchiveFieldF32 is the uncached float32 archive read: decode the
-// packed coefficients straight to float32 and synthesize through the
-// plan's float32 tables.
-func (s *Server) loadArchiveFieldF32(ctx context.Context, member, scenario, t int) ([]float32, error) {
-	s.fieldLoads.Add(1)
-	sc := s.scratch.Get().(*serveScratch)
-	defer s.scratch.Put(sc)
-	dt := beginStage(ctx, stageDecode)
-	packed, err := s.r.ReadPackedF32(member, scenario, t, sc.packed32)
-	if err != nil {
+// archiveField is the one archive field load, at either width: through
+// cache c, and on a miss decode the packed coefficients and synthesize on
+// the serving grid. Inside the load ctx carries the request's trace state
+// only — the load itself is not cancellable (single-flight waiters share
+// its result).
+func archiveField[E sht.Real](ctx context.Context, s *Server, c *fieldCache[E], member, scenario, t int) ([]E, error) {
+	ct := beginStage(ctx, stageCache)
+	defer ct.end()
+	ctx = ct.ctx(ctx) // decode and synthesis nest under the cache span
+	return c.getOrLoad(ctx, cacheKey{member: member, scenario: scenario, t: t}, func() ([]E, error) {
+		s.fieldLoads.Add(1)
+		// The coefficients decode into the head of the grid they become: a
+		// grid that supports L has more than L^2 points, and
+		// SynthesizePacked reads all of its input before it writes a pixel.
+		out := make([]E, s.h.Grid.Points())
+		dt := beginStage(ctx, stageDecode)
+		packed, err := archive.ReadPackedInto(s.r, member, scenario, t, out[:0])
+		if err != nil {
+			dt.end()
+			return nil, err
+		}
+		dt.attr("coeffs", int64(len(packed)))
 		dt.end()
-		return nil, err
-	}
-	dt.attr("coeffs", int64(len(packed)))
-	dt.end()
-	sc.packed32 = packed
-	out := make([]float32, s.h.Grid.Points())
-	st := beginStage(ctx, stageSynthesis)
-	st.attr("block", int64(s.plan.SynthBlock()))
-	s.plan.SynthesizeIntoF32(out, packed)
-	st.end()
-	return out, nil
+		st := beginStage(ctx, stageSynthesis)
+		st.attr("block", int64(s.plan.SynthBlock()))
+		sht.SynthesizePacked(s.plan, out, packed)
+		st.end()
+		return out, nil
+	})
 }
 
 // loadLiveField is the one emulation run behind every live answer: it
@@ -607,17 +562,101 @@ func angles(lat, lon float64) (theta, phi float64, err error) {
 	return (90 - lat) * math.Pi / 180, lon * math.Pi / 180, nil
 }
 
+// seriesQuery is what a series front-end hands the one series loop: n
+// linear functionals of a step's field — locations, or a box mean — in
+// the two forms the two kinds of scenario need.
+type seriesQuery struct {
+	n int
+	// sample evaluates the functionals on one live-emulated grid into
+	// vals. Emulated fields carry pixel-space nugget noise, so they are
+	// not band-limited and are sampled on the grid (bilinear, area mean).
+	sample func(data, vals []float64)
+	// rows builds the spectral evaluator of functionals [lo, hi) for
+	// archived steps, which never materialize a grid.
+	rows func(lo, hi int) *sht.Evaluator
+}
+
+// evalBlockRows bounds the weight rows one evaluator holds: a query of
+// more functionals is answered block by block, one range walk each, so
+// the 4096 locations /v1/points admits never hold more than 256 x L^2
+// weights (8 MiB at L = 64) instead of 128 MiB. Re-decoding the range per
+// block costs about 2 % of a block's evaluation.
+const evalBlockRows = 256
+
+// series is the one loop under PointSeries, PointsSeries and BoxSeries:
+// out[p][i] is functional p of step t0+i of (member, scenario). A live
+// scenario is one emulation run (liveRange) sampled on the grid; an
+// archived one streams packed steps through an independent series cursor
+// — chunk-granular, so chunk lookups and metric events amortize across
+// the range — and multiplies each by the query's weight rows. ctx
+// cancellation is observed between steps, so an abandoned long series
+// stops promptly instead of decoding to the end. The span returned is the
+// aggregate eval span of a traced archived query (else nil), for the
+// front-end's own attributes.
+func (s *Server) series(ctx context.Context, member, scenario, t0, t1 int, q seriesQuery) ([][]float64, *trace.Span, error) {
+	s.requests.Add(1)
+	out := make([][]float64, q.n)
+	for p := range out {
+		out[p] = make([]float64, t1-t0)
+	}
+	if s.isLive(scenario) {
+		vals := make([]float64, q.n)
+		err := s.liveRange(ctx, member, scenario, t0, t1, func(t int, data []float64) {
+			q.sample(data, vals)
+			for p, v := range vals {
+				out[p][t-t0] = v
+			}
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return out, nil, nil
+	}
+	// A loop, so no span per step: each iteration's time is split into
+	// decode vs eval with a loopClock and reported as one aggregate span
+	// per stage.
+	clk := newLoopClock(ctx)
+	loopStart := time.Now()
+	var decodeD, evalD time.Duration
+	cur, err := s.r.Series(member, scenario)
+	if err != nil {
+		return nil, nil, err
+	}
+	cs := attachCursorStats(ctx, cur)
+	var vals []float64
+	for lo := 0; lo < q.n; lo += evalBlockRows {
+		clk.tick()
+		ev := q.rows(lo, min(lo+evalBlockRows, q.n))
+		clk.tock(&evalD)
+		clk.tick()
+		err = cur.ReadPackedRange(t0, t1, func(t int, packed []float64) error {
+			clk.tock(&decodeD)
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			clk.tick()
+			vals = ev.EvalPacked(vals, packed)
+			for p, v := range vals {
+				out[lo+p][t-t0] = v
+			}
+			clk.tock(&evalD)
+			clk.tick()
+			return nil
+		})
+		clk.tock(&decodeD)
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	steps := int64((q.n+evalBlockRows-1)/evalBlockRows) * int64(t1-t0) // one walk per block
+	cs.annotate(recordStage(ctx, stageDecode, loopStart, decodeD, steps))
+	return out, recordStage(ctx, stageEval, loopStart, evalD, steps), nil
+}
+
 // PointSeries returns the field value at geographic (lat degrees, lon
-// degrees) for every step in [t0, t1) of (member, scenario).
-//
-// For archived scenarios the series never materializes a grid: each
-// step's packed coefficients stream through an independent series cursor
-// and are evaluated at the exact query location by an O(L^2) dot
-// product. For live scenarios the emulated fields (which carry
-// pixel-space nugget noise, so they are not band-limited) are sampled by
-// bilinear interpolation on the grid instead.
-// ctx cancellation is observed between steps, so an abandoned long
-// series stops promptly instead of decoding to the end.
+// degrees) for every step in [t0, t1) of (member, scenario): the exact
+// location by spectral evaluation for archived scenarios, bilinear
+// interpolation on the grid for live ones (see series).
 func (s *Server) PointSeries(ctx context.Context, member, scenario int, lat, lon float64, t0, t1 int) ([]float64, error) {
 	if err := s.checkRange(member, scenario, t0, t1); err != nil {
 		return nil, err
@@ -626,55 +665,20 @@ func (s *Server) PointSeries(ctx context.Context, member, scenario int, lat, lon
 	if err != nil {
 		return nil, err
 	}
-	s.requests.Add(1)
-	out := make([]float64, t1-t0)
-	if s.isLive(scenario) {
-		err := s.liveRange(ctx, member, scenario, t0, t1, func(t int, data []float64) {
-			out[t-t0] = bilinear(s.h.Grid, data, theta, phi)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	// Series endpoints are loops: instead of a span per step they
-	// split each iteration's time into decode vs eval with a loopClock
-	// and report one aggregate span per stage.
-	clk := newLoopClock(ctx)
-	loopStart := time.Now()
-	var decodeD, evalD time.Duration
-	clk.tick()
-	ev, evHit := s.evals.get(s.h.L, lat, lon, theta, phi)
-	clk.tock(&evalD)
-	cur, err := s.r.Series(member, scenario)
-	if err != nil {
-		return nil, err
-	}
-	cs := attachCursorStats(ctx, cur)
-	// Batched decode: ReadPackedRange loads each chunk once and hands
-	// every step in it to the callback, so chunk lookups and metric
-	// events amortize across the range instead of repeating per step.
-	clk.tick()
-	err = cur.ReadPackedRange(t0, t1, func(t int, packed []float64) error {
-		clk.tock(&decodeD)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		clk.tick()
-		out[t-t0] = ev.EvalPacked(packed)
-		clk.tock(&evalD)
-		clk.tick()
-		return nil
+	evHit := false
+	out, esp, err := s.series(ctx, member, scenario, t0, t1, seriesQuery{
+		n:      1,
+		sample: func(data, vals []float64) { vals[0] = bilinear(s.h.Grid, data, theta, phi) },
+		rows: func(int, int) (ev *sht.Evaluator) {
+			ev, evHit = s.evals.get(s.h.L, lat, lon, theta, phi)
+			return ev
+		},
 	})
-	clk.tock(&decodeD)
 	if err != nil {
 		return nil, err
 	}
-	steps := int64(t1 - t0)
-	cs.annotate(recordStage(ctx, stageDecode, loopStart, decodeD, steps))
-	esp := recordStage(ctx, stageEval, loopStart, evalD, steps)
 	esp.SetAttrString("evalcache", hitMiss(evHit))
-	return out, nil
+	return out[0], nil
 }
 
 // attachCursorStats hooks a per-request sink onto a series cursor so
@@ -698,18 +702,14 @@ func hitMiss(hit bool) string {
 	return "miss"
 }
 
-// maxBatchPoints bounds one multi-point query, keeping the evaluator's
-// O(points * L) tables and the response size sane.
+// maxBatchPoints bounds one multi-point query, keeping the response size
+// sane (the evaluator's weights are bounded separately: evalBlockRows).
 const maxBatchPoints = 4096
 
 // PointsSeries returns one time series per location: out[p][i] is the
 // field value at (lats[p], lons[p]) at step t0+i of (member, scenario).
-//
-// For archived scenarios all locations share one coefficient sweep per
-// step through a sht.PointBatchEvaluator — one Legendre fold per
-// distinct latitude and one O(L) gather per point, instead of P
-// independent O(L^2) dot products over P cursor passes. Live scenarios
-// sample the emulated fields bilinearly, as in PointSeries.
+// Each location is one weight row of the step product, so series p is
+// bit-identical to PointSeries at the same location.
 func (s *Server) PointsSeries(ctx context.Context, member, scenario int, lats, lons []float64, t0, t1 int) ([][]float64, error) {
 	if err := s.checkRange(member, scenario, t0, t1); err != nil {
 		return nil, err
@@ -732,58 +732,19 @@ func (s *Server) PointsSeries(ctx context.Context, member, scenario int, lats, l
 		}
 		thetas[p], phis[p] = theta, phi
 	}
-	s.requests.Add(1)
-	out := make([][]float64, len(lats))
-	for p := range out {
-		out[p] = make([]float64, t1-t0)
-	}
-	if s.isLive(scenario) {
-		err := s.liveRange(ctx, member, scenario, t0, t1, func(t int, data []float64) {
-			for p := range out {
-				out[p][t-t0] = bilinear(s.h.Grid, data, thetas[p], phis[p])
+	out, esp, err := s.series(ctx, member, scenario, t0, t1, seriesQuery{
+		n: len(lats),
+		sample: func(data, vals []float64) {
+			for p := range vals {
+				vals[p] = bilinear(s.h.Grid, data, thetas[p], phis[p])
 			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	clk := newLoopClock(ctx)
-	loopStart := time.Now()
-	var decodeD, evalD time.Duration
-	clk.tick()
-	ev := sht.NewPointBatchEvaluator(s.h.L, thetas, phis)
-	clk.tock(&evalD)
-	cur, err := s.r.Series(member, scenario)
-	if err != nil {
-		return nil, err
-	}
-	cs := attachCursorStats(ctx, cur)
-	var vals []float64
-	clk.tick()
-	err = cur.ReadPackedRange(t0, t1, func(t int, packed []float64) error {
-		clk.tock(&decodeD)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		clk.tick()
-		vals = ev.EvalPacked(vals, packed)
-		for p, v := range vals {
-			out[p][t-t0] = v
-		}
-		clk.tock(&evalD)
-		clk.tick()
-		return nil
+		},
+		rows: func(lo, hi int) *sht.Evaluator {
+			return sht.NewPointBatchEvaluator(s.h.L, thetas[lo:hi], phis[lo:hi])
+		},
 	})
-	clk.tock(&decodeD)
-	if err != nil {
-		return nil, err
-	}
-	steps := int64(t1 - t0)
-	cs.annotate(recordStage(ctx, stageDecode, loopStart, decodeD, steps))
-	esp := recordStage(ctx, stageEval, loopStart, evalD, steps)
 	esp.SetAttr("points", int64(len(lats)))
-	return out, nil
+	return out, err
 }
 
 // Box is a geographic latitude/longitude box in degrees. Longitudes wrap:
@@ -830,97 +791,56 @@ func boxPoints(g sphere.Grid, b Box) (rings, lons []int, err error) {
 }
 
 // BoxSeries returns the area-weighted mean over the grid points inside
-// box for every step in [t0, t1) of (member, scenario). Archived
-// scenarios evaluate only the box's rings and longitudes via per-ring
-// spectral evaluation (O(L^2) per ring plus O(L) per point), never the
-// full grid; live scenarios average the emulated fields directly.
+// box for every step in [t0, t1) of (member, scenario). The mean is
+// linear in the field, so for archived scenarios the whole box is one
+// weight row (sht.NewMeanEvaluator: O(L^2) per ring to build, then one
+// dot product per step however many points the box holds); live
+// scenarios average the emulated grid directly.
 func (s *Server) BoxSeries(ctx context.Context, member, scenario int, box Box, t0, t1 int) ([]float64, error) {
 	if err := s.checkRange(member, scenario, t0, t1); err != nil {
 		return nil, err
 	}
-	rings, lons, err := boxPoints(s.h.Grid, box)
+	g := s.h.Grid
+	rings, lons, err := boxPoints(g, box)
 	if err != nil {
 		return nil, err
 	}
-	s.requests.Add(1)
 	// Area weights, renormalized over the box.
-	aw := s.h.Grid.AreaWeights()
+	aw := g.AreaWeights()
 	wsum := 0.0
 	for _, i := range rings {
 		wsum += aw[i] * float64(len(lons))
 	}
-	out := make([]float64, t1-t0)
-
-	if s.isLive(scenario) {
-		err := s.liveRange(ctx, member, scenario, t0, t1, func(t int, data []float64) {
+	out, esp, err := s.series(ctx, member, scenario, t0, t1, seriesQuery{
+		n: 1,
+		sample: func(data, vals []float64) {
 			sum := 0.0
 			for _, i := range rings {
-				row := data[i*s.h.Grid.NLon:]
+				row := data[i*g.NLon:]
 				for _, j := range lons {
 					sum += aw[i] * row[j]
 				}
 			}
-			out[t-t0] = sum / wsum
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	// One batch evaluator over the box's ring x longitude cross product:
-	// the per-step degree fold streams the packed vector once for all
-	// rings together (the old per-ring SetPacked swept it once per
-	// ring), and each point costs an O(L) gather.
-	thetas := make([]float64, 0, len(rings)*len(lons))
-	phis := make([]float64, 0, len(rings)*len(lons))
-	w := make([]float64, 0, len(rings)*len(lons))
-	for _, i := range rings {
-		theta := s.h.Grid.Colatitude(i)
-		for _, j := range lons {
-			thetas = append(thetas, theta)
-			phis = append(phis, s.h.Grid.Longitude(j))
-			w = append(w, aw[i])
-		}
-	}
-	clk := newLoopClock(ctx)
-	loopStart := time.Now()
-	var decodeD, evalD time.Duration
-	clk.tick()
-	ev := sht.NewPointBatchEvaluator(s.h.L, thetas, phis)
-	clk.tock(&evalD)
-	cur, err := s.r.Series(member, scenario)
-	if err != nil {
-		return nil, err
-	}
-	cs := attachCursorStats(ctx, cur)
-	var vals []float64
-	clk.tick()
-	err = cur.ReadPackedRange(t0, t1, func(t int, packed []float64) error {
-		clk.tock(&decodeD)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		clk.tick()
-		vals = ev.EvalPacked(vals, packed)
-		sum := 0.0
-		for k, v := range vals {
-			sum += w[k] * v
-		}
-		out[t-t0] = sum / wsum
-		clk.tock(&evalD)
-		clk.tick()
-		return nil
+			vals[0] = sum / wsum
+		},
+		rows: func(int, int) *sht.Evaluator {
+			thetas := make([]float64, len(rings))
+			weights := make([]float64, len(rings))
+			for k, i := range rings {
+				thetas[k], weights[k] = g.Colatitude(i), aw[i]/wsum
+			}
+			phis := make([]float64, len(lons))
+			for k, j := range lons {
+				phis[k] = g.Longitude(j)
+			}
+			return sht.NewMeanEvaluator(s.h.L, thetas, weights, phis)
+		},
 	})
-	clk.tock(&decodeD)
 	if err != nil {
 		return nil, err
 	}
-	steps := int64(t1 - t0)
-	cs.annotate(recordStage(ctx, stageDecode, loopStart, decodeD, steps))
-	esp := recordStage(ctx, stageEval, loopStart, evalD, steps)
-	esp.SetAttr("points", int64(len(thetas)))
-	return out, nil
+	esp.SetAttr("points", int64(len(rings)*len(lons)))
+	return out[0], nil
 }
 
 // EnsembleStats returns the per-pixel ensemble mean and spread (sample

@@ -146,6 +146,48 @@ func TestTraceparentEchoAndSpanTree(t *testing.T) {
 	}
 }
 
+// TestLiveF32FieldHasOneCacheSpan pins the shape of a live
+// `format=f32` field request's trace: the float32 response narrows the
+// float64-cached field, so the tree holds one cache span (with the
+// emulation under it on a miss) — not an f32 cache span wrapping a second,
+// nested f64 cache span, which is what the retired loader recorded.
+func TestLiveF32FieldHasOneCacheSpan(t *testing.T) {
+	model := liveModel(t)
+	r := buildArchive(t, model.Grid, fixL)
+	s, err := New(r, model, Config{
+		CacheBytes: fixCacheCap, LiveScenarios: 1, LiveSteps: 8, BaseSeed: 3,
+		TraceSampleRate: 1, EnableTraceDebug: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for _, wantEmulate := range []int{1, 0} { // a miss, then a hit
+		url := fmt.Sprintf("%s/v1/field?member=0&scenario=%d&t=5&format=f32", srv.URL, r.Header().Scenarios)
+		resp, err := srv.Client().Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("live f32 field status %d", resp.StatusCode)
+		}
+		doc := fetchTraces(t, srv)
+		count := map[string]int{}
+		for _, sp := range doc.Traces[0].Spans { // newest first
+			count[sp.Name]++
+		}
+		if count["cache"] != 1 || count["emulate"] != wantEmulate || count["encode"] != 1 {
+			t.Fatalf("live f32 field spans %v: want one cache span, %d emulate, one encode", names(doc.Traces[0].Spans), wantEmulate)
+		}
+	}
+	if st := s.Stats(); st.CacheF32.Hits+st.CacheF32.Misses != 0 || st.Cache.Hits != 1 || st.Cache.Misses != 1 {
+		t.Fatalf("live f32 fields must ride the float64 cache alone: f32 %+v, f64 %+v", st.CacheF32, st.Cache)
+	}
+}
+
 func names(spans []trace.SpanJSON) []string {
 	out := make([]string, len(spans))
 	for i, sp := range spans {

@@ -176,10 +176,7 @@ func (p *Plan) Analyze(f sphere.Field) Coeffs {
 // archive writer and the training pass consume.
 func (p *Plan) AnalyzePacked(dst []float64, f sphere.Field) []float64 {
 	sc := p.arena.get()
-	if len(sc.coeffs) != legendre.TriSize(p.L) {
-		sc.coeffs = make([]complex128, legendre.TriSize(p.L))
-	}
-	c := Coeffs{L: p.L, C: sc.coeffs}
+	c := Coeffs{L: p.L, C: sc.triangle(p.L)}
 	p.AnalyzeInto(c, f)
 	dst = c.PackReal(dst)
 	p.arena.put(sc)

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"exaclim/internal/fft"
+	"exaclim/internal/legendre"
 )
 
 // SynthKernelVersion identifies the numerical contract of the synthesis
@@ -29,7 +30,7 @@ type synthScratch struct {
 	fm     [][]complex128
 	spec   []complex128 // synthesis half spectrum; tail beyond L stays zero
 	gn, gs []complex128 // analysis half spectra of a north/south ring pair
-	coeffs []complex128 // AnalyzePacked's coefficient triangle
+	coeffs []complex128 // coefficient triangle of the packed entry points
 	rp     *fft.RealPlan
 }
 
@@ -52,6 +53,15 @@ func (sc *synthScratch) accum(rows, L int) [][]complex128 {
 		sc.fm[i] = sc.flat[i*L : (i+1)*L]
 	}
 	return sc.fm
+}
+
+// triangle returns the scratch coefficient triangle for band limit L, the
+// staging area between a packed vector and the kernels.
+func (sc *synthScratch) triangle(L int) []complex128 {
+	if len(sc.coeffs) != legendre.TriSize(L) {
+		sc.coeffs = make([]complex128, legendre.TriSize(L))
+	}
+	return sc.coeffs
 }
 
 // ring returns the worker's rFFT clone and half-spectrum buffer. The

@@ -3,24 +3,24 @@ package sht
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"exaclim/internal/sphere"
 )
 
-// Batch evaluation cannot be byte-identical to per-point evaluation:
-// PointEvaluator computes a flat L^2 dot product in packed-index order,
-// while the batch fold groups terms by order m (F(m) = sum_l ...) and
-// gathers with cos/sin tables — a different but mathematically equal
-// association of the same products. The tests below therefore pin the
-// batch path to the per-point path and to full synthesis at <= 1e-10 of
-// the field scale, the same analytic-agreement bound every other
-// evaluator in this package is held to.
+// Every row of an Evaluator is one accumulator over the packed vector in
+// ascending index, whether it runs alone (a plain dot) or beside other
+// rows (the tiled product), so multi-row evaluation is pinned to
+// per-point evaluation bit for bit. Against full synthesis, EvalPoint and
+// the retired fold-then-gather order (RingEvaluator) the same products
+// are associated differently, so those agree to <= 1e-10 of the field
+// scale — the analytic-agreement bound every evaluator here is held to.
 
-// TestPointBatchMatchesPointEvaluator compares the batch evaluator
-// against per-point evaluation and full synthesis at grid points,
-// including both poles and repeated colatitudes, across band limits
-// (L=1 exercises the degenerate constant-field case).
+// TestPointBatchMatchesPointEvaluator compares the multi-row evaluator
+// against per-point evaluation (exactly) and full synthesis at grid
+// points, including both poles and repeated colatitudes, across band
+// limits (L=1 exercises the degenerate constant-field case).
 func TestPointBatchMatchesPointEvaluator(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, L := range []int{1, 2, 5, 16, 33} {
@@ -44,11 +44,8 @@ func TestPointBatchMatchesPointEvaluator(t *testing.T) {
 			}
 		}
 		e := NewPointBatchEvaluator(L, thetas, phis)
-		if e.Locations() != len(thetas) {
-			t.Fatalf("L=%d: Locations=%d want %d", L, e.Locations(), len(thetas))
-		}
-		if e.Rings() >= e.Locations() && len(thetas) > grid.NLat {
-			t.Fatalf("L=%d: %d rings for %d locations; colatitude dedupe failed", L, e.Rings(), e.Locations())
+		if e.Rows() != len(thetas) {
+			t.Fatalf("L=%d: Rows=%d want %d", L, e.Rows(), len(thetas))
 		}
 		got := e.EvalPacked(nil, packed)
 		for k, ij := range wantIJ {
@@ -58,8 +55,9 @@ func TestPointBatchMatchesPointEvaluator(t *testing.T) {
 					L, k, ij[0], ij[1], got[k], want, scale)
 			}
 			pe := NewPointEvaluator(L, thetas[k], phis[k])
-			if pp := pe.EvalPacked(packed); math.Abs(got[k]-pp) > 1e-10*scale {
-				t.Fatalf("L=%d loc %d: batch=%g per-point=%g", L, k, got[k], pp)
+			if pp := pe.EvalPacked(packed); math.Float64bits(got[k]) != math.Float64bits(pp) {
+				t.Fatalf("L=%d loc %d: row of %d = %x, alone = %x", L, k, len(thetas),
+					math.Float64bits(got[k]), math.Float64bits(pp))
 			}
 		}
 	}
@@ -76,9 +74,6 @@ func TestPointBatchPoles(t *testing.T) {
 		thetas := []float64{0, math.Pi, 0, math.Pi}
 		phis := []float64{0, 0, 2.5, -1.0} // longitude is degenerate at a pole
 		e := NewPointBatchEvaluator(L, thetas, phis)
-		if e.Rings() != 2 {
-			t.Fatalf("L=%d: %d rings for the two poles", L, e.Rings())
-		}
 		got := e.EvalPacked(nil, packed)
 		for k := range thetas {
 			want := EvalPoint(c, thetas[k], phis[k])
@@ -120,73 +115,87 @@ func TestPointBatchLongitudeWraparound(t *testing.T) {
 	}
 }
 
-// TestPointBatchF32 bounds the float32 packed batch path against the
-// float64 batch path.
-func TestPointBatchF32(t *testing.T) {
+// TestMeanEvaluatorMatchesRingEvaluator pins the one-row box mean —
+// weights summed ring by ring before any field is seen — against the
+// retired order, which folded each ring of each field (RingEvaluator)
+// and summed the gathered longitudes: <= 1e-12 of the field scale, on a
+// box of several rings including a pole ring and uneven weights.
+func TestMeanEvaluatorMatchesRingEvaluator(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, L := range []int{1, 4, 16, 33} {
+		grid := sphere.GridForBandLimit(L)
+		plan, err := NewPlan(grid, L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := randomCoeffs(rng, L)
+		scale := fieldScale(plan.Synthesize(c))
+		packed := c.PackReal(nil)
+		var thetas, weights, phis []float64
+		for j := 0; j < grid.NLon; j += 2 {
+			phis = append(phis, grid.Longitude(j))
+		}
+		wsum := 0.0
+		for i := 0; i < grid.NLat; i += max(1, grid.NLat/5) {
+			thetas = append(thetas, grid.Colatitude(i))
+			weights = append(weights, 0.1+rng.Float64())
+			wsum += weights[len(weights)-1] * float64(len(phis))
+		}
+		for i := range weights {
+			weights[i] /= wsum // a mean: the weights over all points sum to 1
+		}
+		want := 0.0
+		for i, theta := range thetas {
+			re := NewRingEvaluator(L, theta)
+			re.SetPacked(packed)
+			for _, phi := range phis {
+				want += weights[i] * re.EvalLon(phi)
+			}
+		}
+		e := NewMeanEvaluator(L, thetas, weights, phis)
+		if e.Rows() != 1 {
+			t.Fatalf("L=%d: mean evaluator has %d rows, want 1", L, e.Rows())
+		}
+		got := e.EvalPacked(nil, packed)[0]
+		if d := math.Abs(got - want); d > 1e-12*scale {
+			t.Fatalf("L=%d: one-row mean %g, fold-and-gather %g (|d|=%g, scale %g)", L, got, want, d, scale)
+		}
+	}
+}
+
+// TestEvaluatorConcurrentUse pins what replaced the retired "one
+// evaluator per goroutine" contract: an Evaluator holds no per-call
+// state, so goroutines sharing one get the values a lone caller gets
+// (and the race detector stays quiet).
+func TestEvaluatorConcurrentUse(t *testing.T) {
 	const L = 16
-	grid := sphere.GridForBandLimit(L)
-	rng := rand.New(rand.NewSource(34))
-	c := randomCoeffs(rng, L)
-	packed := c.PackReal(nil)
-	scale := 0.0
-	for _, v := range packed {
-		scale += v * v
-	}
-	scale = math.Sqrt(scale)
-	var thetas, phis []float64
-	for i := 0; i < grid.NLat; i += 2 {
-		thetas = append(thetas, grid.Colatitude(i))
-		phis = append(phis, grid.Longitude(i%grid.NLon))
-	}
+	rng := rand.New(rand.NewSource(37))
+	thetas := []float64{0.3, 0.3, 1.2, 2.9, 1.7}
+	phis := []float64{0.1, 4.0, 5.5, 0.0, 3.3}
 	e := NewPointBatchEvaluator(L, thetas, phis)
-	want := e.EvalPacked(nil, packed)
-	got := e.EvalPackedF32(nil, packedF32(packed))
-	for k := range want {
-		if math.Abs(got[k]-want[k]) > 1e-4*scale {
-			t.Fatalf("loc %d: f32 batch=%g f64 batch=%g", k, got[k], want[k])
-		}
+	steps := make([][]float64, 8)
+	want := make([][]float64, len(steps))
+	for i := range steps {
+		steps[i] = randomCoeffs(rng, L).PackReal(nil)
+		want[i] = e.EvalPacked(nil, steps[i])
 	}
-}
-
-// TestPointBatchSeries pins EvalSeriesPacked's shape and values against
-// step-by-step EvalPacked (identical code path, so exact equality).
-func TestPointBatchSeries(t *testing.T) {
-	const L = 8
-	const T = 5
-	rng := rand.New(rand.NewSource(35))
-	steps := make([][]float64, T)
-	for t2 := range steps {
-		steps[t2] = randomCoeffs(rng, L).PackReal(nil)
-	}
-	thetas := []float64{0.4, 0.4, 1.9}
-	phis := []float64{0.1, 3.0, 5.5}
-	e := NewPointBatchEvaluator(L, thetas, phis)
-	series := e.EvalSeriesPacked(steps)
-	if len(series) != len(thetas) {
-		t.Fatalf("series has %d locations, want %d", len(series), len(thetas))
-	}
-	for tt, packed := range steps {
-		vals := e.EvalPacked(nil, packed)
-		for p := range thetas {
-			if len(series[p]) != T {
-				t.Fatalf("location %d series length %d, want %d", p, len(series[p]), T)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var vals []float64
+			for rep := 0; rep < 50; rep++ {
+				i := (g + rep) % len(steps)
+				vals = e.EvalPacked(vals, steps[i])
+				for p, v := range vals {
+					if v != want[i][p] {
+						t.Errorf("goroutine %d step %d row %d: %g, want %g", g, i, p, v, want[i][p])
+						return
+					}
+				}
 			}
-			if series[p][tt] != vals[p] {
-				t.Fatalf("loc %d step %d: series=%g direct=%g", p, tt, series[p][tt], vals[p])
-			}
-		}
+		}(g)
 	}
-}
-
-// TestPointBatchConcurrentEvalPanics pins the non-concurrent contract.
-func TestPointBatchConcurrentEvalPanics(t *testing.T) {
-	const L = 4
-	e := NewPointBatchEvaluator(L, []float64{1.0}, []float64{0.5})
-	e.busy.Store(true) // simulate an Eval in flight on another goroutine
-	defer func() {
-		if recover() == nil {
-			t.Fatal("concurrent EvalPacked did not panic")
-		}
-	}()
-	e.EvalPacked(nil, make([]float64, PackDim(L)))
+	wg.Wait()
 }

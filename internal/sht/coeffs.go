@@ -99,22 +99,26 @@ func UnpackReal(src []float64) Coeffs {
 	if L*L != len(src) {
 		panic(fmt.Sprintf("sht: packed length %d is not a square", len(src)))
 	}
-	return UnpackRealInto(NewCoeffs(L), src)
+	c := NewCoeffs(L)
+	unpackReal(c.C, L, src)
+	return c
 }
 
-// UnpackRealInto is UnpackReal without allocation: it fills dst, whose
-// band limit must match len(src) = L^2, and returns it. Generation loops
-// (one unpack per emulated step) use it with a reusable buffer.
-func UnpackRealInto(dst Coeffs, src []float64) Coeffs {
-	if PackDim(dst.L) != len(src) {
-		panic(fmt.Sprintf("sht: packed length %d does not match band limit %d", len(src), dst.L))
+// unpackReal fills the band-limit-L coefficient triangle dst from the
+// packed vector src of either width (widened before the 1/sqrt(2), so a
+// float32 vector unpacks to exactly what its float64 widening would) and
+// returns it. Generation and replay loops unpack into pooled scratch
+// through SynthesizePacked.
+func unpackReal[E Real](dst []complex128, L int, src []E) []complex128 {
+	if PackDim(L) != len(src) {
+		panic(fmt.Sprintf("sht: packed length %d does not match band limit %d", len(src), L))
 	}
 	inv := 1 / math.Sqrt2
-	for l := 0; l < dst.L; l++ {
+	for l := 0; l < L; l++ {
 		base := l * l
-		dst.C[legendre.Idx(l, 0)] = complex(src[base], 0)
+		dst[legendre.Idx(l, 0)] = complex(float64(src[base]), 0)
 		for m := 1; m <= l; m++ {
-			dst.C[legendre.Idx(l, m)] = complex(src[base+2*m-1]*inv, src[base+2*m]*inv)
+			dst[legendre.Idx(l, m)] = complex(float64(src[base+2*m-1])*inv, float64(src[base+2*m])*inv)
 		}
 	}
 	return dst

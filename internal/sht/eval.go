@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"exaclim/internal/legendre"
+	"exaclim/internal/linalg"
 )
 
 // This file implements point-wise spectral evaluation: synthesizing a
@@ -14,7 +15,7 @@ import (
 // directly from its coefficients, instead of running the O(L^3)-ish full
 // grid synthesis and indexing one pixel. It is the fast path under the
 // serving subsystem's point and box queries, where a time-series request
-// touches one location per step across thousands of steps.
+// touches a few locations per step across thousands of steps.
 //
 // For a real field the sum over negative orders folds into the m >= 0
 // coefficients (z_{l,-m} = (-1)^m conj(z_{lm}), Ptilde_l^{-m} = (-1)^m
@@ -26,116 +27,141 @@ import (
 //
 // In the PackReal layout (which carries sqrt(2) on every m > 0
 // component) that is exactly a dot product between the packed vector and
-// a location-dependent weight vector — the form PointEvaluator
-// precomputes, making each subsequent step a length-L^2 dot product on
-// data that ReadPacked already delivers without any unpacking.
+// a location-dependent weight vector. Evaluation is linear, so any
+// weighted sum of locations — a box mean — is one weight vector too.
 
-// PointEvaluator evaluates band-limited fields at one fixed location.
-// Construction costs one Legendre recursion (O(L^2)); every Eval after
-// that is a dot product with the packed coefficient vector. The zero
-// value is not usable; build with NewPointEvaluator. An evaluator is
-// immutable after construction and safe for concurrent use.
-type PointEvaluator struct {
-	L       int
-	theta   float64
-	phi     float64
-	weights []float64 // len L^2, PackReal layout
-
-	// w32 is the lazily-built float32 mirror of weights for the float32
-	// packed path; built at most a few times under a race (last store
-	// wins, all stores are identical).
-	w32 atomic.Pointer[[]float32]
+// Evaluator evaluates band-limited fields through n fixed linear
+// functionals — locations, or weighted sums of locations — held as an
+// n x L^2 weight matrix in PackReal layout: a step is the product of
+// that matrix with the packed coefficient vector the archive delivers,
+// with no unpacking. Construction costs one Legendre recursion per ring
+// (O(L^2)). An evaluator is immutable once built and safe for concurrent
+// use; the zero value is not usable.
+type Evaluator struct {
+	L int
+	w []float64 // rows x L^2, row-major
 }
 
-// NewPointEvaluator builds an evaluator for band limit L at colatitude
-// theta in [0, pi] and longitude phi (radians).
-func NewPointEvaluator(L int, theta, phi float64) *PointEvaluator {
+// NewPointBatchEvaluator builds an evaluator with one row per location
+// (thetas[i], phis[i]) — colatitude in [0, pi] and longitude in radians,
+// the angles() convention of the serving layer.
+func NewPointBatchEvaluator(L int, thetas, phis []float64) *Evaluator {
+	if len(thetas) != len(phis) || len(thetas) == 0 {
+		panic(fmt.Sprintf("sht: evaluator needs matching non-empty locations (got %d thetas, %d phis)",
+			len(thetas), len(phis)))
+	}
+	e := newEvaluator(L, len(thetas))
+	var leg []float64
+	for i, theta := range thetas {
+		leg = e.addRing(i, theta, phis[i:i+1], 1, leg)
+	}
+	return e
+}
+
+// NewMeanEvaluator builds the one-row evaluator of a weighted mean over
+// a ring x longitude cross product, sum_i weights[i] sum_j f(thetas[i],
+// phis[j]) — a lat/lon box with its normalized area weights. By
+// linearity the row is built ring by ring, O(L^2) each, and a step then
+// costs one dot product however many grid points the box covers.
+func NewMeanEvaluator(L int, thetas, weights, phis []float64) *Evaluator {
+	if len(thetas) != len(weights) || len(thetas) == 0 || len(phis) == 0 {
+		panic(fmt.Sprintf("sht: mean evaluator needs matching non-empty rings and longitudes (got %d thetas, %d weights, %d phis)",
+			len(thetas), len(weights), len(phis)))
+	}
+	e := newEvaluator(L, 1)
+	var leg []float64
+	for i, theta := range thetas {
+		leg = e.addRing(0, theta, phis, weights[i], leg)
+	}
+	return e
+}
+
+func newEvaluator(L, rows int) *Evaluator {
 	if L < 1 {
 		panic(fmt.Sprintf("sht: invalid band limit %d", L))
 	}
-	sinT, cosT := math.Sincos(theta)
-	leg := legendre.SharedRecur(L).Eval(cosT, sinT, nil)
+	return &Evaluator{L: L, w: make([]float64, rows*PackDim(L))}
+}
 
-	// cos(m phi), sin(m phi) by stable complex recurrence.
+// addRing adds scale * sum_j f(theta, phis[j]) to row r. leg is a
+// reusable Legendre table buffer, returned for the next call. A single
+// location at scale 1 writes the products p*cos(m phi), -p*sin(m phi)
+// unrounded by the sums around them (each adds to an exact zero).
+func (e *Evaluator) addRing(r int, theta float64, phis []float64, scale float64, leg []float64) []float64 {
+	L := e.L
+	// sum_j cos(m phi_j), sin(m phi_j), each by stable complex recurrence.
 	cosM := make([]float64, L)
 	sinM := make([]float64, L)
-	sinP, cosP := math.Sincos(phi)
-	cm, sm := 1.0, 0.0 // m = 0
-	for m := 0; m < L; m++ {
-		cosM[m], sinM[m] = cm, sm
-		cm, sm = cm*cosP-sm*sinP, sm*cosP+cm*sinP
+	for _, phi := range phis {
+		sinP, cosP := math.Sincos(phi)
+		cm, sm := 1.0, 0.0 // m = 0
+		for m := 0; m < L; m++ {
+			cosM[m] += cm
+			sinM[m] += sm
+			cm, sm = cm*cosP-sm*sinP, sm*cosP+cm*sinP
+		}
 	}
-
-	w := make([]float64, PackDim(L))
+	sinT, cosT := math.Sincos(theta)
+	leg = legendre.SharedRecur(L).Eval(cosT, sinT, leg)
+	w := e.w[r*PackDim(L):]
 	r2 := math.Sqrt2
 	for l := 0; l < L; l++ {
-		w[PackIndex(l, 0, 0)] = leg[legendre.Idx(l, 0)]
+		w[PackIndex(l, 0, 0)] += scale * (leg[legendre.Idx(l, 0)] * cosM[0])
 		for m := 1; m <= l; m++ {
 			// The packed components already carry sqrt(2), so the factor
 			// of 2 from folding negative orders becomes sqrt(2) here.
 			p := r2 * leg[legendre.Idx(l, m)]
-			w[PackIndex(l, m, 0)] = p * cosM[m]
-			w[PackIndex(l, m, 1)] = -p * sinM[m]
+			w[PackIndex(l, m, 0)] += scale * (p * cosM[m])
+			w[PackIndex(l, m, 1)] += scale * (-p * sinM[m])
 		}
 	}
-	return &PointEvaluator{L: L, theta: theta, phi: phi, weights: w}
+	return leg
+}
+
+// Rows returns the number of functionals (values per step).
+func (e *Evaluator) Rows() int { return len(e.w) / PackDim(e.L) }
+
+// EvalPacked evaluates the field whose PackReal vector is packed (length
+// L^2) through every row, writing one value per row into dst (allocated
+// when too small) and returning it. Each value is one accumulator taking
+// its L^2 products in ascending index, so a row's result does not depend
+// on how many rows ride along: several rows go through the tiled product
+// (packed x weights^T), a single row through the plain dot it equals bit
+// for bit at a quarter of the tile's cost for one column.
+func (e *Evaluator) EvalPacked(dst []float64, packed []float64) []float64 {
+	k, n := PackDim(e.L), e.Rows()
+	if len(packed) != k {
+		panic(fmt.Sprintf("sht: packed length %d does not match evaluator band limit %d", len(packed), e.L))
+	}
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	dst = dst[:n]
+	if n == 1 {
+		dst[0] = linalg.Dot(e.w, packed)
+		return dst
+	}
+	linalg.Gemm(linalg.NoTrans, linalg.Transpose, 1, n, k, 1, packed, k, e.w, k, 0, dst, n)
+	return dst
+}
+
+// PointEvaluator is the one-location Evaluator with a scalar result, the
+// form the public facade exports.
+type PointEvaluator struct{ e *Evaluator }
+
+// NewPointEvaluator builds an evaluator for band limit L at colatitude
+// theta in [0, pi] and longitude phi (radians).
+func NewPointEvaluator(L int, theta, phi float64) *PointEvaluator {
+	return &PointEvaluator{NewPointBatchEvaluator(L, []float64{theta}, []float64{phi})}
 }
 
 // EvalPacked evaluates the field whose PackReal vector is packed (length
 // L^2) at the evaluator's location.
 func (e *PointEvaluator) EvalPacked(packed []float64) float64 {
-	if len(packed) != len(e.weights) {
-		panic(fmt.Sprintf("sht: packed length %d does not match evaluator band limit %d", len(packed), e.L))
+	if len(packed) != len(e.e.w) {
+		panic(fmt.Sprintf("sht: packed length %d does not match evaluator band limit %d", len(packed), e.e.L))
 	}
-	sum := 0.0
-	for i, w := range e.weights {
-		sum += w * packed[i]
-	}
-	return sum
-}
-
-// EvalPackedF32 evaluates a float32 packed vector (the layout
-// archive.ReadPackedF32 delivers) at the evaluator's location. The dot
-// product streams float32 weights — half the memory traffic of the
-// float64 path — while accumulating in float64; products of two float32
-// operands are exact in float64, so the only extra error over
-// EvalPacked is the 2^-24 rounding of the weights and inputs.
-func (e *PointEvaluator) EvalPackedF32(packed []float32) float64 {
-	if len(packed) != len(e.weights) {
-		panic(fmt.Sprintf("sht: packed length %d does not match evaluator band limit %d", len(packed), e.L))
-	}
-	wp := e.w32.Load()
-	if wp == nil {
-		w := make([]float32, len(e.weights))
-		for i, v := range e.weights {
-			w[i] = float32(v)
-		}
-		e.w32.Store(&w)
-		wp = &w
-	}
-	sum := 0.0
-	for i, w := range *wp {
-		sum += float64(w) * float64(packed[i])
-	}
-	return sum
-}
-
-// Eval evaluates coefficients c at the evaluator's location.
-func (e *PointEvaluator) Eval(c Coeffs) float64 {
-	if c.L != e.L {
-		panic(fmt.Sprintf("sht: coefficient band limit %d does not match evaluator %d", c.L, e.L))
-	}
-	sum := 0.0
-	for l := 0; l < e.L; l++ {
-		sum += e.weights[PackIndex(l, 0, 0)] * real(c.C[legendre.Idx(l, 0)])
-		for m := 1; m <= l; m++ {
-			v := c.C[legendre.Idx(l, m)]
-			// Undo the sqrt(2) the weights bake in for packed input.
-			sum += math.Sqrt2 * (e.weights[PackIndex(l, m, 0)]*real(v) +
-				e.weights[PackIndex(l, m, 1)]*imag(v))
-		}
-	}
-	return sum
+	return linalg.Dot(e.e.w, packed)
 }
 
 // epScratch is the pooled one-shot evaluation state: the Legendre table
@@ -151,8 +177,10 @@ var evalPointScratch = sync.Pool{New: func() any { return &epScratch{} }}
 // EvalPoint evaluates coefficients c at a single (theta, phi). For
 // repeated evaluation at one location (time series) build a
 // PointEvaluator once instead. Scratch is pooled, so the one-shot path
-// allocates nothing in steady state; the arithmetic is exactly
-// NewPointEvaluator + Eval with the weight products formed on the fly.
+// allocates nothing in steady state. The weight products are formed on
+// the fly against the unpacked coefficients — an order of operations
+// independent of the Evaluator's, which is why the serving oracles use it
+// as their reference.
 func EvalPoint(c Coeffs, theta, phi float64) float64 {
 	L := c.L
 	if L < 1 {
@@ -187,25 +215,24 @@ func EvalPoint(c Coeffs, theta, phi float64) float64 {
 }
 
 // RingEvaluator evaluates band-limited fields at many longitudes of one
-// fixed colatitude — the building block of lat/lon box queries, where a
-// box covers a handful of rings and a contiguous run of longitudes.
-// SetPacked folds the degree sum once per field (O(L^2)); EvalLon is
-// then O(L) per longitude.
+// fixed colatitude: SetPacked folds the degree sum once per field
+// (O(L^2)); EvalLon is then O(L) per longitude. This fold-then-gather
+// order is how box queries were evaluated before a box mean became one
+// Evaluator row; nothing on the serving path uses it now. It stays as the
+// independent reference the box tests compare against and for the
+// benchmark module's sht.ring_eval_us_per_step probe.
 //
 // Concurrency contract: a RingEvaluator is a streaming scratch holder —
-// SetPacked/SetPackedF32 mutate the fold state that EvalLon reads, so
-// an evaluator must never be shared across goroutines; use one per
-// goroutine. Concurrent Set calls are detected and panic rather than
-// silently corrupting the fold (the EvalLon side of a race is not
-// guarded: the guard exists to surface misuse, not to make sharing
-// safe).
+// SetPacked mutates the fold state that EvalLon reads — so an evaluator
+// must never be shared across goroutines; use one per goroutine.
+// Concurrent Set calls are detected and panic rather than silently
+// corrupting the fold (the EvalLon side of a race is not guarded: the
+// guard exists to surface misuse, not to make sharing safe).
 type RingEvaluator struct {
-	L     int
-	theta float64
-	leg   []float64    // Legendre table at theta
-	leg32 []float32    // float32 mirror for the f32 packed path
-	fm    []complex128 // F(m) = sum_l z_lm Ptilde_l^m for the current field
-	busy  atomic.Bool  // trips the non-concurrent contract
+	L    int
+	leg  []float64    // Legendre table at theta
+	fm   []complex128 // F(m) = sum_l z_lm Ptilde_l^m for the current field
+	busy atomic.Bool  // trips the non-concurrent contract
 }
 
 // NewRingEvaluator builds a ring evaluator for band limit L at
@@ -215,24 +242,10 @@ func NewRingEvaluator(L int, theta float64) *RingEvaluator {
 		panic(fmt.Sprintf("sht: invalid band limit %d", L))
 	}
 	sinT, cosT := math.Sincos(theta)
-	leg := legendre.SharedRecur(L).Eval(cosT, sinT, nil)
-	leg32 := make([]float32, len(leg))
-	for i, v := range leg {
-		leg32[i] = float32(v)
-	}
 	return &RingEvaluator{
-		L:     L,
-		theta: theta,
-		leg:   leg,
-		leg32: leg32,
-		fm:    make([]complex128, L),
-	}
-}
-
-// setEnter enforces the non-concurrent contract on the Set methods.
-func (e *RingEvaluator) setEnter() {
-	if !e.busy.CompareAndSwap(false, true) {
-		panic("sht: concurrent SetPacked on a shared RingEvaluator; use one evaluator per goroutine")
+		L:   L,
+		leg: legendre.SharedRecur(L).Eval(cosT, sinT, nil),
+		fm:  make([]complex128, L),
 	}
 }
 
@@ -244,7 +257,9 @@ func (e *RingEvaluator) SetPacked(packed []float64) {
 	if len(packed) != PackDim(e.L) {
 		panic(fmt.Sprintf("sht: packed length %d does not match evaluator band limit %d", len(packed), e.L))
 	}
-	e.setEnter()
+	if !e.busy.CompareAndSwap(false, true) {
+		panic("sht: concurrent SetPacked on a shared RingEvaluator; use one evaluator per goroutine")
+	}
 	defer e.busy.Store(false)
 	inv := 1 / math.Sqrt2
 	for m := range e.fm {
@@ -256,31 +271,6 @@ func (e *RingEvaluator) SetPacked(packed []float64) {
 		for m := 1; m <= l; m++ {
 			p := e.leg[legendre.Idx(l, m)]
 			e.fm[m] += complex(packed[base+2*m-1]*inv*p, packed[base+2*m]*inv*p)
-		}
-	}
-}
-
-// SetPackedF32 is SetPacked for a float32 packed vector (the layout
-// archive.ReadPackedF32 delivers): the fold streams the float32
-// Legendre mirror and input at half the bandwidth while accumulating
-// F(m) in float64 (float32 products are exact in float64). Same
-// concurrency contract as SetPacked.
-func (e *RingEvaluator) SetPackedF32(packed []float32) {
-	if len(packed) != PackDim(e.L) {
-		panic(fmt.Sprintf("sht: packed length %d does not match evaluator band limit %d", len(packed), e.L))
-	}
-	e.setEnter()
-	defer e.busy.Store(false)
-	const inv = 1 / math.Sqrt2
-	for m := range e.fm {
-		e.fm[m] = 0
-	}
-	for l := 0; l < e.L; l++ {
-		base := l * l
-		e.fm[0] += complex(float64(e.leg32[legendre.Idx(l, 0)])*float64(packed[base]), 0)
-		for m := 1; m <= l; m++ {
-			p := float64(e.leg32[legendre.Idx(l, m)]) * inv
-			e.fm[m] += complex(p*float64(packed[base+2*m-1]), p*float64(packed[base+2*m]))
 		}
 	}
 }

@@ -114,9 +114,6 @@ func TestPointEvaluatorReuse(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		c := randomCoeffs(rng, L)
 		want := EvalPoint(c, 1.1, 2.3)
-		if got := ev.Eval(c); math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
-			t.Fatalf("trial %d: reused evaluator %g, fresh %g", trial, got, want)
-		}
 		if got := ev.EvalPacked(c.PackReal(nil)); math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
 			t.Fatalf("trial %d: packed eval %g, fresh %g", trial, got, want)
 		}

@@ -3,7 +3,6 @@ package sht
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"exaclim/internal/fft"
 	"exaclim/internal/legendre"
@@ -30,22 +29,12 @@ type Plan struct {
 	rlon    *fft.RealPlan // length NLon real ring transform, both directions
 	workers int
 
-	// f32, ana, calib and arena are shared by pointer across Sequential
-	// copies of the plan, so every cursor derived from one plan reuses a
-	// single f32 table build, one analysis operator, one calibration run,
-	// and one scratch pool.
-	f32   *f32Tables
+	// ana, calib and arena are shared by pointer across Sequential copies
+	// of the plan, so every cursor derived from one plan reuses one
+	// analysis operator, one calibration run, and one scratch pool.
 	ana   *analysisTable
 	calib *synthCalib
 	arena *synthArena
-}
-
-// f32Tables is the lazily-built float32 mirror of the per-ring Legendre
-// tables, halving the table traffic of the float32 synthesis path.
-type f32Tables struct {
-	once  sync.Once
-	rings [][]float32
-	built atomic.Bool
 }
 
 // synthCalib memoizes the one-time ring-block microcalibration.
@@ -80,7 +69,6 @@ func NewPlan(grid sphere.Grid, L int, opts ...Option) (*Plan, error) {
 	}
 	p.ringTab = legendre.RingTable(L, colat)
 	p.rlon = fft.NewRealPlan(grid.NLon)
-	p.f32 = &f32Tables{}
 	p.ana = &analysisTable{}
 	p.calib = &synthCalib{}
 	p.arena = newSynthArena()
@@ -104,15 +92,12 @@ func (p *Plan) Sequential() *Plan {
 }
 
 // MemoryBytes reports the size of the precomputed tables the plan
-// family holds right now: the float64 ring tables always, the float32
-// mirror and the analysis operator once their first use has built them.
+// family holds right now: the ring tables always, the analysis operator
+// once the first analysis has built it.
 func (p *Plan) MemoryBytes() int64 {
 	tri := int64(legendre.TriSize(p.L))
 	nlat := int64(p.Grid.NLat)
 	bytes := nlat * tri * 8
-	if p.f32.built.Load() {
-		bytes += nlat * tri * 4
-	}
 	if p.ana.builds.Load() > 0 {
 		bytes += (nlat + 1) / 2 * tri * 8
 	}
@@ -143,12 +128,16 @@ func (p *Plan) callWorkers() int {
 // the plan's grid (inverse SHT). This is the emulator's "generate
 // emulations" step and is exact for any grid, including finer ones.
 func (p *Plan) Synthesize(c Coeffs) sphere.Field {
-	if c.L != p.L {
-		panic(fmt.Sprintf("sht: coefficient band limit %d does not match plan %d", c.L, p.L))
-	}
 	out := sphere.NewField(p.Grid)
 	p.SynthesizeInto(out, c)
 	return out
+}
+
+// Real is the element type of a synthesized grid or a packed coefficient
+// vector: the float64 the emulator computes in, or the float32 the raw
+// serving path stores and sends.
+type Real interface {
+	float32 | float64
 }
 
 // SynthesizeInto writes the synthesis into an existing field on the
@@ -169,7 +158,7 @@ func (p *Plan) Synthesize(c Coeffs) sphere.Field {
 //     roughly halving the FFT stage relative to the retired full
 //     complex transform.
 //
-// Pairs are processed in cache-blocked groups of synthBlock() (sized
+// Pairs are processed in cache-blocked groups of SynthBlock() (sized
 // once per plan by tile.PickBlock) with the fold sweeping the
 // coefficient table row-major (l outer, m inner). A call large enough
 // to repay it (callWorkers) fans the blocks out via par.ForNWorker with
@@ -188,37 +177,66 @@ func (p *Plan) SynthesizeInto(dst sphere.Field, c Coeffs) {
 	if c.L != p.L {
 		panic(fmt.Sprintf("sht: coefficient band limit %d does not match plan %d", c.L, p.L))
 	}
-	block := p.synthBlock()
+	sc := p.arena.get()
+	synthesize(p, sc, dst.Data, c.C)
+	p.arena.put(sc)
+}
+
+// SynthesizePacked is SynthesizeInto from the real packing (PackReal
+// layout, length L^2 — what the VAR stage generates and the archive
+// decodes) to a row-major grid of Grid.Points() values, at either width;
+// the coefficient triangle lives in pooled scratch. The fold and the ring
+// transforms run in float64 whatever E is: a float32 caller pays one
+// widening per coefficient going in and one rounding per pixel coming
+// out, so its result is the float64 path's rounded once. (The retired
+// float32 twin rounded the Legendre tables as well, to stream half the
+// bytes; at L = 64 it measured 9 % slower than this path, not faster.)
+// packed is unpacked whole before the first ring is written, so it may
+// alias dst — a caller can decode into the head of the grid it wants.
+func SynthesizePacked[E Real](p *Plan, dst, packed []E) {
+	if len(dst) != p.Grid.Points() {
+		panic(fmt.Sprintf("sht: destination length %d does not match grid %v", len(dst), p.Grid))
+	}
+	sc := p.arena.get()
+	synthesize(p, sc, dst, unpackReal(sc.triangle(p.L), p.L, packed))
+	p.arena.put(sc)
+}
+
+// SynthesizeIntoF32 is SynthesizePacked at float32 under the name the
+// benchmark module compiles against.
+func (p *Plan) SynthesizeIntoF32(dst, packed []float32) { SynthesizePacked(p, dst, packed) }
+
+// synthesize runs the blocks of one synthesis call, inline on the
+// caller's scratch sc or fanned out over per-worker scratch.
+func synthesize[E Real](p *Plan, sc *synthScratch, dst []E, c []complex128) {
+	block := p.SynthBlock()
 	nPairs := (p.Grid.NLat + 1) / 2
 	workers := p.callWorkers()
 	if workers == 1 {
-		sc := p.arena.get()
 		for p0 := 0; p0 < nPairs; p0 += block {
-			p.synthPairs(dst, c, sc, p0, min(p0+block, nPairs))
+			synthPairs(p, dst, c, sc, p0, min(p0+block, nPairs))
 		}
-		p.arena.put(sc)
 		return
 	}
 	nBlocks := (nPairs + block - 1) / block
 	scratch := p.arena.take(workers)
 	par.ForNWorker(workers, nBlocks, func(g, bi int) {
 		p0 := bi * block
-		p.synthPairs(dst, c, scratch[g], p0, min(p0+block, nPairs))
+		synthPairs(p, dst, c, scratch[g], p0, min(p0+block, nPairs))
 	})
 	p.arena.release(scratch)
 }
 
-// synthPairs folds and synthesizes the equator-mirrored ring pairs
-// [p0, p1) into dst using one worker's scratch.
-func (p *Plan) synthPairs(dst sphere.Field, c Coeffs, sc *synthScratch, p0, p1 int) {
+// foldPairs is the Legendre fold of the equator-mirrored ring pairs
+// [p0, p1) — the one copy of the transform's dominant loop — into one
+// worker's accumulators: row 2k of the result holds the even-parity (l+m
+// even) sums of pair p0+k, row 2k+1 the odd-parity sums.
+func (p *Plan) foldPairs(c []complex128, sc *synthScratch, p0, p1 int) [][]complex128 {
 	L := p.L
-	nlat, nlon := p.Grid.NLat, p.Grid.NLon
-	// Two accumulator rows per pair: fm[2k] holds the even-parity (l+m
-	// even) sums of pair p0+k, fm[2k+1] the odd-parity sums.
 	fm := sc.accum(2*(p1-p0), L)
 	for l := 0; l < L; l++ {
 		base := legendre.Idx(l, 0)
-		row := c.C[base : base+l+1]
+		row := c[base : base+l+1]
 		for pi := p0; pi < p1; pi++ {
 			tbl := p.ringTab[pi][base : base+l+1]
 			even, odd := fm[2*(pi-p0)], fm[2*(pi-p0)+1]
@@ -233,51 +251,42 @@ func (p *Plan) synthPairs(dst sphere.Field, c Coeffs, sc *synthScratch, p0, p1 i
 			}
 		}
 	}
+	return fm
+}
+
+// synthPairs folds the ring pairs [p0, p1) and writes their rings into
+// the row-major grid dst using one worker's scratch. The ring write is
+// the only step that depends on the output width.
+func synthPairs[E Real](p *Plan, dst []E, c []complex128, sc *synthScratch, p0, p1 int) {
+	L := p.L
+	nlat, nlon := p.Grid.NLat, p.Grid.NLon
+	fm := p.foldPairs(c, sc, p0, p1)
 	rp, spec := sc.ring(p)
 	// Pre-scale the half spectrum by nlon instead of post-scaling the
 	// output row: the spectrum has L live entries, the row nlon.
 	scale := complex(float64(nlon), 0)
 	for pi := p0; pi < p1; pi++ {
 		fe, fo := fm[2*(pi-p0)], fm[2*(pi-p0)+1]
-		north := dst.Ring(pi)
-		si := nlat - 1 - pi
-		if si == pi {
-			// Odd nlat: the equator ring is its own mirror.
-			spec[0] = complex(real(fe[0])+real(fo[0]), 0) * scale
-			for m := 1; m < L; m++ {
-				// The m >= L tail of spec is permanently zero; the rFFT
-				// completes the conjugate half itself (the ring spectrum of
-				// a real field satisfies spec[-m] = conj(spec[m]), from
-				// z_{l,-m} = (-1)^m conj(z_{lm}) and Ptilde_l^{-m} =
-				// (-1)^m Ptilde_l^m).
-				spec[m] = (fe[m] + fo[m]) * scale
-			}
-			rp.Inverse(north, spec)
-			continue
-		}
-		south := dst.Ring(si)
+		// DC terms are real by construction (m=0 folds add no imaginary
+		// part). The m >= L tail of spec is permanently zero; the rFFT
+		// completes the conjugate half itself (the ring spectrum of a real
+		// field satisfies spec[-m] = conj(spec[m]), from z_{l,-m} = (-1)^m
+		// conj(z_{lm}) and Ptilde_l^{-m} = (-1)^m Ptilde_l^m).
 		spec[0] = complex(real(fe[0])+real(fo[0]), 0) * scale
 		for m := 1; m < L; m++ {
 			spec[m] = (fe[m] + fo[m]) * scale
 		}
-		rp.Inverse(north, spec)
+		fft.InverseInto(rp, dst[pi*nlon:(pi+1)*nlon], spec)
+		si := nlat - 1 - pi
+		if si == pi {
+			continue // odd nlat: the equator ring is its own mirror
+		}
 		spec[0] = complex(real(fe[0])-real(fo[0]), 0) * scale
 		for m := 1; m < L; m++ {
 			spec[m] = (fe[m] - fo[m]) * scale
 		}
-		rp.Inverse(south, spec)
+		fft.InverseInto(rp, dst[si*nlon:(si+1)*nlon], spec)
 	}
-}
-
-// newFmScratch allocates rings x L zeroed fold accumulators backed by
-// one flat slice.
-func newFmScratch(rings, L int) [][]complex128 {
-	flat := make([]complex128, rings*L)
-	fm := make([][]complex128, rings)
-	for i := range fm {
-		fm[i] = flat[i*L : (i+1)*L]
-	}
-	return fm
 }
 
 // synthBlockCandidates are the pair-block sizes the calibration tries:
@@ -286,50 +295,27 @@ func newFmScratch(rings, L int) [][]complex128 {
 // stream across ring pairs.
 var synthBlockCandidates = []int{4, 8, 16, 32}
 
-// synthBlock returns the plan's calibrated pair-block size, measuring
+// SynthBlock returns the plan's calibrated pair-block size, measuring
 // once per plan (shared across Sequential copies). The workload is the
-// plan's own parity-paired fold on synthetic coefficients — two
-// accumulator rows per pair, exactly the live kernel's footprint — so
-// the choice reflects the real table and accumulator sizes; every
-// candidate computes bit-identical results, so calibration affects time
-// only, never output.
-func (p *Plan) synthBlock() int {
+// plan's own fold (foldPairs) on synthetic coefficients, so the choice
+// reflects the real table and accumulator sizes; every candidate computes
+// bit-identical results, so calibration affects time only, never output.
+// Observability surfaces (trace span attributes) use it to record which
+// tile a synthesis executed under.
+func (p *Plan) SynthBlock() int {
 	p.calib.once.Do(func() {
-		L := p.L
-		c := NewCoeffs(L)
+		c := NewCoeffs(p.L)
 		for i := range c.C {
 			c.C[i] = complex(1/float64(i+1), -1/float64(2*i+1))
 		}
 		pairs := min((p.Grid.NLat+1)/2, 64)
+		sc := p.arena.get()
 		p.calib.block = tile.PickBlock(synthBlockCandidates, 3, func(b int) {
 			for p0 := 0; p0 < pairs; p0 += b {
-				p1 := min(p0+b, pairs)
-				fm := newFmScratch(2*(p1-p0), L)
-				for l := 0; l < L; l++ {
-					base := legendre.Idx(l, 0)
-					row := c.C[base : base+l+1]
-					for pi := p0; pi < p1; pi++ {
-						tbl := p.ringTab[pi][base : base+l+1]
-						even, odd := fm[2*(pi-p0)], fm[2*(pi-p0)+1]
-						if l&1 == 1 {
-							even, odd = odd, even
-						}
-						for m := 0; m <= l; m += 2 {
-							even[m] += row[m] * complex(tbl[m], 0)
-						}
-						for m := 1; m <= l; m += 2 {
-							odd[m] += row[m] * complex(tbl[m], 0)
-						}
-					}
-				}
+				p.foldPairs(c.C, sc, p0, min(p0+b, pairs))
 			}
 		})
+		p.arena.put(sc)
 	})
 	return p.calib.block
 }
-
-// SynthBlock reports the calibrated pair-block size blocked synthesis
-// runs with, triggering the one-time calibration if it has not run yet.
-// Observability surfaces (trace span attributes) use it to record which
-// tile a synthesis executed under.
-func (p *Plan) SynthBlock() int { return p.synthBlock() }
