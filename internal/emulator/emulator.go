@@ -6,6 +6,11 @@
 // (sample xi = V eta, run the VAR, inverse SHT, add the nugget and the
 // deterministic parts).
 //
+// Generation is one engine: an ensemble advances as the columns of one
+// VAR state matrix, and one member is one column. Emulate, EmulateUnder,
+// EmulateUnderForEach and EmulateEnsemble all run the same loop, so a
+// member's series is the same bytes whichever entry point produced it.
+//
 // A trained Model is serializable; its storage footprint is what replaces
 // petabytes of raw simulation output (the paper's headline storage
 // saving), so the covariance factor is stored in its tiled
@@ -51,9 +56,6 @@ type Config struct {
 	Variant tile.Variant
 	// SenderConvert enables sender-side precision conversion.
 	SenderConvert bool
-	// JitterEps scales the diagonal perturbation applied when the
-	// empirical covariance is not positive definite; default 1e-8.
-	JitterEps float64
 	// Workers bounds parallelism; 0 means GOMAXPROCS.
 	Workers int
 }
@@ -100,6 +102,10 @@ type Model struct {
 	nugOnce     sync.Once
 	nugSD       []float64 // sqrt(NuggetVar), shared by all generators
 }
+
+// jitterEps scales the diagonal perturbation applied when the empirical
+// covariance is not positive definite.
+const jitterEps = 1e-8
 
 func chooseTile(n int) int {
 	for b := 96; b >= 2; b-- {
@@ -164,9 +170,6 @@ func TrainFromSet(src source.Ensemble, set forcing.Set, lead int, cfg Config) (*
 	}
 	if cfg.P < 1 {
 		return nil, fmt.Errorf("emulator: VAR order %d must be >= 1", cfg.P)
-	}
-	if cfg.JitterEps == 0 {
-		cfg.JitterEps = 1e-8
 	}
 	grid := src.Grid()
 	if !grid.SupportsBandLimit(cfg.L) {
@@ -377,7 +380,7 @@ func TrainFromSet(src source.Ensemble, set forcing.Set, lead int, cfg Config) (*
 	}
 	jit := 0.0
 	if samples < u.Rows {
-		jit = varm.Jitter(u, cfg.JitterEps*float64(u.Rows-samples+1))
+		jit = varm.Jitter(u, jitterEps*float64(u.Rows-samples+1))
 	}
 
 	// Step 5: mixed-precision tile Cholesky of U.
@@ -406,7 +409,7 @@ func TrainFromSet(src source.Ensemble, set forcing.Set, lead int, cfg Config) (*
 		}
 		// Escalate the jitter: low-precision rounding can push tiny
 		// eigenvalues negative.
-		jit += varm.Jitter(u, cfg.JitterEps*math.Pow(10, float64(attempt+2)))
+		jit += varm.Jitter(u, jitterEps*math.Pow(10, float64(attempt+2)))
 	}
 	elapsed := time.Since(start).Seconds()
 
@@ -485,18 +488,13 @@ func (m *Model) nuggetSD() []float64 {
 	return m.nugSD
 }
 
-// burnIn is the VAR spin-up discarded before step 0. The ensemble
-// engine's batched path and the serial path must share it exactly: the
-// per-member byte-identity contract of EmulateEnsemble (and with it the
-// verifiability of archived campaigns against re-emulation) depends on
-// both running the same number of pre-emission RNG draws.
+// burnIn is the VAR spin-up discarded before step 0.
 func (m *Model) burnIn() int { return 10*m.VAR.P + 50 }
 
-// generateStep is the one generation step of Section III-B, shared by
-// the serial path and the ensemble engine: inverse-transform the packed
-// spectral state, add the nugget drawn from the member's rng, and restore
-// the deterministic component mean (which may carry scenario forcing)
-// into out. Nothing is allocated.
+// generateStep is the one generation step of Section III-B: inverse-
+// transform the packed spectral state, add the nugget drawn from the
+// member's rng, and restore the deterministic component mean (which may
+// carry scenario forcing) into out. Nothing is allocated.
 func generateStep(plan *sht.Plan, packed []float64, nug []float64, rng *rand.Rand, mean *trend.Step, out sphere.Field) {
 	sht.SynthesizePacked(plan, out.Data, packed)
 	for pix := range out.Data {
@@ -505,62 +503,87 @@ func generateStep(plan *sht.Plan, packed []float64, nug []float64, rng *rand.Ran
 	mean.Unstandardize(out)
 }
 
-// emulateStream is the serial generation core: run the VAR with
-// innovations xi = V eta and turn each spectral state into a temperature
-// field with generateStep. The only allocation per step is the field
-// handed to fn, which may retain it. Output depends only on (seed, t0,
-// fit), never on plan scheduling; the ensemble engine reproduces it
-// batch-wise via varm.SimulateBatch.
-func (m *Model) emulateStream(plan *sht.Plan, fit *trend.Fit, seed int64, t0, T int, fn func(t int, f sphere.Field)) {
-	rng := rand.New(rand.NewSource(seed))
+// fitUnder returns the trend view that restores the deterministic
+// component under the annual forcing rf; nil keeps the training forcing.
+func (m *Model) fitUnder(rf []float64) *trend.Fit {
+	if rf == nil {
+		return m.Trend
+	}
+	return m.Trend.WithAnnualRF(rf)
+}
+
+// generate is the one generation loop: M = len(rngs) members advance
+// together as the columns of one VAR state matrix (varm.SimulateBatch,
+// innovations xi = V eta), and every step each member's column becomes a
+// temperature field under fit through generateStep. Member c's rng drives
+// both its VAR innovations (drawn inside SimulateBatch) and its nugget
+// noise (drawn here, between VAR steps), so a member's series depends only
+// on (its rng, t0, fit): the same whether it runs alone or in an ensemble.
+// One member synthesizes with the model's parallel plan; several fan out
+// over members, each worker running its transforms sequentially, so the
+// fan-out happens at exactly one level.
+//
+// emit may be called from several goroutines at once, but a member's
+// steps arrive strictly in order. The field it receives is worker scratch
+// reused for later steps — copy it to retain.
+func (m *Model) generate(fit *trend.Fit, rngs []*rand.Rand, t0, steps, workers int, emit func(member, t int, f sphere.Field)) error {
+	if err := m.EnsurePlan(); err != nil {
+		return err
+	}
+	// Materialize the shared read-only state before fanning out so the
+	// workers only ever read it.
 	v := m.dense()
 	nug := m.nuggetSD()
-	var mean trend.Step
-	m.VAR.Simulate(v, rng, m.burnIn(), T, func(t int, f []float64) {
-		field := sphere.NewField(m.Grid)
+	M := len(rngs)
+	plan := m.plan
+	if M > 1 {
+		plan = plan.Sequential()
+	}
+	dim := m.VAR.Dim
+	packed := make([][]float64, par.SpanWorkers(workers, M))
+	fields := make([]sphere.Field, len(packed))
+	var (
+		mean   trend.Step
+		t      int
+		states *linalg.Matrix
+	)
+	// One closure for the whole run, not one per step.
+	member := func(g, c int) {
+		if packed[g] == nil {
+			packed[g] = make([]float64, dim)
+			fields[g] = sphere.NewField(m.Grid)
+		}
+		for d := range packed[g] {
+			packed[g][d] = states.Data[d*M+c]
+		}
+		generateStep(plan, packed[g], nug, rngs[c], &mean, fields[g])
+		emit(c, t, fields[g])
+	}
+	m.VAR.SimulateBatch(v, rngs, m.burnIn(), steps, func(tt int, st *linalg.Matrix) {
+		t, states = tt, st
+		// The deterministic component depends on t only: built once per
+		// step, read by every member's worker.
 		fit.StepAt(0, t0+t, &mean)
-		generateStep(plan, f, nug, rng, &mean, field)
-		fn(t, field)
+		par.ForNWorker(workers, M, member)
 	})
-}
-
-// EmulateForEach streams T emulated fields beginning at training step
-// offset t0, calling fn for each (fields are freshly allocated and may be
-// retained). Distinct seeds give independent ensemble members. Multiple
-// goroutines may call it on one shared Model.
-func (m *Model) EmulateForEach(seed int64, t0, T int, fn func(t int, f sphere.Field)) error {
-	if err := m.EnsurePlan(); err != nil {
-		return err
-	}
-	m.emulateStream(m.plan, m.Trend, seed, t0, T, fn)
 	return nil
 }
 
-// Emulate returns T emulated fields beginning at training step t0.
-func (m *Model) Emulate(seed int64, t0, T int) ([]sphere.Field, error) {
-	out := make([]sphere.Field, T)
-	err := m.EmulateForEach(seed, t0, T, func(t int, f sphere.Field) { out[t] = f })
-	return out, err
-}
-
-// EmulateUnderForEach streams T emulated fields under an alternative
-// annual forcing pathway rf — a "what-if" scenario the model was never
-// trained on. rf must cover the trend fit's Lead years before step 0
-// plus every emulated year; nil keeps the training forcing, making the
-// call byte-identical to EmulateForEach. The deterministic component is
-// restored through Trend.WithAnnualRF(rf), so output is byte-identical
-// to emulating from a model whose Trend is that view — the contract the
-// serving subsystem's live what-if scenarios are pinned against.
+// EmulateUnderForEach streams T emulated fields beginning at training
+// step offset t0 under the annual forcing pathway rf — a "what-if"
+// scenario the model was never trained on. rf must cover the trend fit's
+// Lead years before step 0 plus every emulated year; nil keeps the
+// training forcing. The deterministic component is restored through
+// Trend.WithAnnualRF(rf), so output is byte-identical to emulating from a
+// model whose Trend is that view — the contract the serving subsystem's
+// live what-if scenarios are pinned against. Fields handed to fn are
+// freshly allocated and may be retained. Distinct seeds give independent
+// ensemble members; multiple goroutines may call it on one shared Model.
 func (m *Model) EmulateUnderForEach(rf []float64, seed int64, t0, T int, fn func(t int, f sphere.Field)) error {
-	if err := m.EnsurePlan(); err != nil {
-		return err
-	}
-	fit := m.Trend
-	if rf != nil {
-		fit = m.Trend.WithAnnualRF(rf)
-	}
-	m.emulateStream(m.plan, fit, seed, t0, T, fn)
-	return nil
+	rngs := []*rand.Rand{rand.New(rand.NewSource(seed))}
+	return m.generate(m.fitUnder(rf), rngs, t0, T, 1, func(_, t int, f sphere.Field) {
+		fn(t, f.Copy())
+	})
 }
 
 // EmulateUnder returns T fields emulated under the annual forcing rf
@@ -569,6 +592,11 @@ func (m *Model) EmulateUnder(rf []float64, seed int64, t0, T int) ([]sphere.Fiel
 	out := make([]sphere.Field, T)
 	err := m.EmulateUnderForEach(rf, seed, t0, T, func(t int, f sphere.Field) { out[t] = f })
 	return out, err
+}
+
+// Emulate returns T emulated fields beginning at training step t0.
+func (m *Model) Emulate(seed int64, t0, T int) ([]sphere.Field, error) {
+	return m.EmulateUnder(nil, seed, t0, T)
 }
 
 // CheckConsistency compares a simulated series with a fresh emulation of

@@ -238,22 +238,39 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
+// TestEmulateForEachStreaming checks the streaming contract serving
+// relies on: steps arrive in order, and every field is freshly allocated,
+// so a retained field is not overwritten by later steps.
 func TestEmulateForEachStreaming(t *testing.T) {
 	m, _ := trainSmall(t, tile.VariantDP, 2)
-	count := 0
-	err := m.EmulateForEach(1, 100, 5, func(tt int, f sphere.Field) {
-		if tt != count {
-			t.Errorf("callback order: got %d want %d", tt, count)
+	var kept []sphere.Field
+	err := m.EmulateUnderForEach(nil, 1, 100, 5, func(tt int, f sphere.Field) {
+		if tt != len(kept) {
+			t.Errorf("callback order: got %d want %d", tt, len(kept))
 		}
-		count++
 		if f.Grid != m.Grid {
 			t.Error("emulated field grid mismatch")
 		}
+		kept = append(kept, f)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count != 5 {
-		t.Errorf("emitted %d fields, want 5", count)
+	if len(kept) != 5 {
+		t.Fatalf("emitted %d fields, want 5", len(kept))
+	}
+	want, err := m.Emulate(1, 100, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tt := range kept {
+		if tt > 0 && &kept[tt].Data[0] == &kept[tt-1].Data[0] {
+			t.Fatalf("step %d: field storage is shared", tt)
+		}
+		for pix, v := range kept[tt].Data {
+			if math.Float64bits(v) != math.Float64bits(want[tt].Data[pix]) {
+				t.Fatalf("step %d pixel %d: retained field changed after later steps", tt, pix)
+			}
+		}
 	}
 }

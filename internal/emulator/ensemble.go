@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"exaclim/internal/linalg"
-	"exaclim/internal/par"
 	"exaclim/internal/sphere"
-	"exaclim/internal/trend"
 )
 
 // Scenario pairs a name with the annual radiative forcing an ensemble is
@@ -58,22 +55,13 @@ func MemberSeed(base int64, member, scenario int) int64 {
 	return int64(x)
 }
 
-// ensembleScratch bundles the per-worker buffers of the ensemble engine:
-// a packed coefficient column gathered from the batched state matrix
-// plus the output field of generateStep.
-type ensembleScratch struct {
-	packed []float64
-	field  sphere.Field
-}
-
 // EmulateEnsemble generates Members x max(1, len(Scenarios)) emulated
 // series from one trained model, streaming every field to emit so the
-// caller never holds members x steps fields in memory. The VAR stage is
-// batched: all members of a scenario advance together as the columns of
-// one state matrix, one lower-triangular matrix-matrix product per step
-// (varm.SimulateBatch) instead of Members independent LowerMulVec
-// chains, and the member fan-out happens at the synthesis stage, which
-// dominates the per-step cost.
+// caller never holds members x steps fields in memory. It runs the
+// emulator's one generation loop once per scenario with one RNG per
+// member: all members of a scenario advance together as the columns of
+// one VAR state matrix, and the member fan-out happens at the synthesis
+// stage, which dominates the per-step cost.
 //
 // Concurrency contract: emit may be called from several goroutines at
 // once (synchronize in the callback if it writes shared state), but
@@ -93,65 +81,21 @@ func (m *Model) EmulateEnsemble(spec EnsembleSpec, emit func(member, scenario, t
 	if spec.T0 < 0 {
 		return fmt.Errorf("emulator: ensemble T0 %d must be >= 0", spec.T0)
 	}
-	if err := m.EnsurePlan(); err != nil {
-		return err
-	}
-	// Materialize the shared read-only state before fanning out so the
-	// workers only ever read it.
-	v := m.dense()
-	nug := m.nuggetSD()
-
 	scenarios := spec.Scenarios
 	if len(scenarios) == 0 {
 		scenarios = []Scenario{{Name: "training-forcing"}}
 	}
-	fits := make([]*trend.Fit, len(scenarios))
 	for s, sc := range scenarios {
-		if sc.AnnualRF == nil {
-			fits[s] = m.Trend
-		} else {
-			fits[s] = m.Trend.WithAnnualRF(sc.AnnualRF)
-		}
-	}
-
-	// The synthesis fan-out already saturates the CPU, so each worker
-	// runs its transforms sequentially; scratch is per worker for the
-	// whole campaign instead of allocated per (member, step).
-	seqPlan := m.plan.Sequential()
-	M := spec.Members
-	dim := m.VAR.Dim
-	burn := m.burnIn()
-	scratch := make([]*ensembleScratch, par.SpanWorkers(spec.Workers, M))
-	for s := range scenarios {
-		// Member c's RNG drives both its VAR innovations (drawn inside
-		// SimulateBatch) and its nugget noise (drawn below, between
-		// steps), reproducing the serial per-member stream exactly.
-		rngs := make([]*rand.Rand, M)
+		rngs := make([]*rand.Rand, spec.Members)
 		for member := range rngs {
 			rngs[member] = rand.New(rand.NewSource(MemberSeed(spec.BaseSeed, member, s)))
 		}
-		fit := fits[s]
-		var mean trend.Step
-		m.VAR.SimulateBatch(v, rngs, burn, spec.Steps, func(t int, states *linalg.Matrix) {
-			// The deterministic component depends on (scenario, t) only:
-			// built once per step, read by every member's worker.
-			fit.StepAt(0, spec.T0+t, &mean)
-			par.ForNWorker(spec.Workers, M, func(g, member int) {
-				scr := scratch[g]
-				if scr == nil {
-					scr = &ensembleScratch{
-						packed: make([]float64, dim),
-						field:  sphere.NewField(m.Grid),
-					}
-					scratch[g] = scr
-				}
-				for d := 0; d < dim; d++ {
-					scr.packed[d] = states.Data[d*M+member]
-				}
-				generateStep(seqPlan, scr.packed, nug, rngs[member], &mean, scr.field)
-				emit(member, s, t, scr.field)
-			})
+		err := m.generate(m.fitUnder(sc.AnnualRF), rngs, spec.T0, spec.Steps, spec.Workers, func(member, t int, f sphere.Field) {
+			emit(member, s, t, f)
 		})
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

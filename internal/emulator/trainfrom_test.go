@@ -384,8 +384,12 @@ func TestTrainFromSetMixedScenarios(t *testing.T) {
 	}
 
 	// The two pathways give genuinely different deterministic means.
-	a := m1.Trend.PathwayMeanField(0, 10)
-	b := m1.Trend.PathwayMeanField(1, 10)
+	a, b := sphere.NewField(m1.Grid), sphere.NewField(m1.Grid)
+	var step trend.Step
+	m1.Trend.StepAt(0, 10, &step)
+	step.Mean(a)
+	m1.Trend.StepAt(1, 10, &step)
+	step.Mean(b)
 	diff := 0.0
 	for pix := range a.Data {
 		if d := b.Data[pix] - a.Data[pix]; d > diff {

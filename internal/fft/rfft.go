@@ -128,10 +128,6 @@ func (p *RealPlan) Forward(spec []complex128, src []float64) {
 // there is dropped.
 func (p *RealPlan) Inverse(dst []float64, spec []complex128) { InverseInto(p, dst, spec) }
 
-// InverseF32 is Inverse with the output narrowed to float32 in the
-// de-interleave pass itself, for callers that keep float32 grids.
-func (p *RealPlan) InverseF32(dst []float32, spec []complex128) { InverseInto(p, dst, spec) }
-
 // InverseInto is Inverse for either output width (methods cannot be
 // generic): the transform runs in complex128 whatever E is, and only the
 // de-interleave pass that writes dst converts, so a float32 caller skips

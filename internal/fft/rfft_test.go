@@ -53,10 +53,10 @@ func TestRealPlanMatchesNaive(t *testing.T) {
 			}
 		}
 		dst32 := make([]float32, n)
-		p.InverseF32(dst32, half)
+		InverseInto(p, dst32, half)
 		for j := 0; j < n; j++ {
 			if dst32[j] != float32(dst[j]) {
-				t.Fatalf("n=%d j=%d: InverseF32=%v, narrowed Inverse=%v", n, j, dst32[j], float32(dst[j]))
+				t.Fatalf("n=%d j=%d: InverseInto[float32]=%v, narrowed Inverse=%v", n, j, dst32[j], float32(dst[j]))
 			}
 		}
 	}

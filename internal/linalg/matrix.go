@@ -179,7 +179,9 @@ var xtPool = sync.Pool{New: func() any { return new([]float64) }}
 // package's 2 x 4 tile (dot2x4): a pair of rows of L against four members,
 // over the columns both rows have, with the lower row's diagonal term
 // added last. Rows are independent, so the kernel parallelizes over row
-// blocks deterministically.
+// blocks deterministically. A single column (one VAR chain) runs
+// LowerMulVec instead, which does not pad the tile with three idle
+// members: the kernel is chosen from the shape, the bits are the same.
 func (m *Matrix) LowerMulMat(x, y *Matrix) {
 	n := m.Rows
 	if m.Cols != n {
@@ -190,6 +192,10 @@ func (m *Matrix) LowerMulMat(x, y *Matrix) {
 			n, n, x.Rows, x.Cols, y.Rows, y.Cols))
 	}
 	cols := x.Cols
+	if cols == 1 {
+		m.LowerMulVec(x.Data, y.Data)
+		return
+	}
 	buf := xtPool.Get().(*[]float64)
 	defer xtPool.Put(buf)
 	if cap(*buf) < n*cols {

@@ -326,17 +326,6 @@ func (s *Server) liveRF(scenario int) []float64 {
 	return s.cfg.LivePathways[li].Annual
 }
 
-// LivePathwayName reports the forcing pathway name of live scenario
-// index `scenario` ("" when it runs the training forcing or is not
-// live).
-func (s *Server) LivePathwayName(scenario int) string {
-	li := scenario - s.h.Scenarios
-	if li < 0 || li >= len(s.cfg.LivePathways) {
-		return ""
-	}
-	return s.cfg.LivePathways[li].Name
-}
-
 // isLive reports whether scenario is served by on-demand emulation.
 func (s *Server) isLive(scenario int) bool { return scenario >= s.h.Scenarios }
 

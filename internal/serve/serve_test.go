@@ -944,12 +944,6 @@ func TestLiveWhatIfPathway(t *testing.T) {
 	if got, want := s.Scenarios(), fixScen+1; got != want {
 		t.Fatalf("Scenarios() = %d, want %d", got, want)
 	}
-	if got := s.LivePathwayName(liveScen); got != "whatif-high" {
-		t.Fatalf("LivePathwayName = %q, want %q", got, "whatif-high")
-	}
-	if got := s.LivePathwayName(0); got != "" {
-		t.Fatalf("archived scenario reports pathway %q", got)
-	}
 
 	const member, ts = 1, 7
 	// The reference: Model.Emulate from a gob round-trip whose trend is

@@ -108,9 +108,6 @@ type Fit struct {
 	tab atomic.Pointer[rhoTable]
 }
 
-// NumPathways returns the number of forcing pathways the fit spans.
-func (f *Fit) NumPathways() int { return f.Set.Len() }
-
 // AnnualRF returns the default (index 0) pathway's annual series — the
 // single-pathway view legacy callers read. The slice is the fit's own;
 // do not mutate.
@@ -243,13 +240,6 @@ type Accumulator struct {
 	yty   []float64 // nPix
 	cBase []float64 // nPix x p, lag column stays zero
 	cLag  []float64 // nPix x len(RhoGrid)
-}
-
-// NewAccumulator prepares a streaming fit over an R x T campaign on grid
-// with one shared forcing record — the single-pathway adapter over
-// NewAccumulatorSet. annualRF and lead follow FitEnsemble's contract.
-func NewAccumulator(grid sphere.Grid, R, T int, annualRF []float64, lead int, opt Options) (*Accumulator, error) {
-	return NewAccumulatorSet(grid, R, T, forcing.Single("", annualRF), nil, lead, opt)
 }
 
 // copySet deep-copies a pathway set so the accumulator (and the fit it
@@ -544,9 +534,12 @@ func (f *Fit) table() *rhoTable {
 
 // Step is the deterministic component of eq. (2) at one (pathway, step)
 // of a fit: one design row per distinct lag decay, which a pixel's mean
-// is a dot product against. Building it (Fit.StepAt) is the per-step
-// cost; applying it touches each pixel once and allocates nothing. A
-// built Step is read-only, so any number of goroutines may apply it.
+// is a dot product against. It is the package's one evaluator of the
+// fitted mean: training standardizes and generation restores through it,
+// and scenario views (Fit.WithAnnualRF) are evaluated the same way.
+// Building it (Fit.StepAt) is the per-step cost; applying it touches each
+// pixel once and allocates nothing. A built Step is read-only, so any
+// number of goroutines may apply it.
 type Step struct {
 	fit  *Fit
 	idx  []int32   // pixel -> row
@@ -628,67 +621,6 @@ func (s *Step) Unstandardize(z sphere.Field) {
 	}
 }
 
-// PathwayMeanField evaluates the fitted deterministic mean m_t on the
-// grid under pathway k of the fit's set.
-func (f *Fit) PathwayMeanField(k, t int) sphere.Field {
-	out := sphere.NewField(f.Grid)
-	var s Step
-	f.StepAt(k, t, &s)
-	s.Mean(out)
-	return out
-}
-
-// MeanField evaluates the deterministic mean under the default (index 0)
-// pathway.
-func (f *Fit) MeanField(t int) sphere.Field { return f.PathwayMeanField(0, t) }
-
-// Standardize returns the standardized stochastic residual fields
-// z_t = (y_t - m_t) / sigma for one ensemble member under the default
-// pathway, the input to the spherical harmonic stage.
-func (f *Fit) Standardize(fields []sphere.Field) []sphere.Field {
-	out := make([]sphere.Field, len(fields))
-	par.ForN(f.Opt.Workers, len(fields), func(t int) {
-		z := sphere.NewField(f.Grid)
-		f.StandardizeInto(z, fields[t], t)
-		out[t] = z
-	})
-	return out
-}
-
-// PathwayStandardizeInto writes the standardized residual of a single
-// step under pathway k into dst: z = (y - m_{k,t}) / sigma. dst and y
-// may alias. Loops over many steps hold a Step of their own and call
-// StepAt + Step.Standardize, which reuses the design rows' storage.
-func (f *Fit) PathwayStandardizeInto(k int, dst, y sphere.Field, t int) {
-	var s Step
-	f.StepAt(k, t, &s)
-	s.Standardize(dst, y)
-}
-
-// StandardizeInto standardizes one step under the default pathway.
-func (f *Fit) StandardizeInto(dst, y sphere.Field, t int) {
-	f.PathwayStandardizeInto(0, dst, y, t)
-}
-
-// PathwayUnstandardize converts a standardized stochastic field back to
-// temperature in place under pathway k: y = m_{k,t} + sigma * z.
-func (f *Fit) PathwayUnstandardize(k int, z sphere.Field, t int) {
-	var s Step
-	f.StepAt(k, t, &s)
-	s.Unstandardize(z)
-}
-
-// Unstandardize converts back to temperature under the default pathway.
-func (f *Fit) Unstandardize(z sphere.Field, t int) { f.PathwayUnstandardize(0, z, t) }
-
-// ExtendRF appends future annual forcing values (e.g. a scenario) to the
-// default pathway so the fit can evaluate means beyond the training
-// window.
-func (f *Fit) ExtendRF(future []float64) {
-	f.Set.Pathways[0].Annual = append(f.Set.Pathways[0].Annual, future...)
-	f.tab.Store(nil) // the lag tables end where the old record did
-}
-
 // WithAnnualRF returns a view of the fit whose deterministic mean is
 // evaluated under a different annual forcing series (a scenario
 // pathway): the view's set holds the single given pathway. rf must
@@ -696,22 +628,6 @@ func (f *Fit) ExtendRF(future []float64) {
 // emulated. The coefficient tables are shared with the receiver, so the
 // view is cheap and safe to use concurrently with it.
 func (f *Fit) WithAnnualRF(rf []float64) *Fit {
-	return f.view(forcing.Single("scenario", append([]float64(nil), rf...)))
-}
-
-// WithPathway returns a view of the fit whose default pathway is the
-// named member of its set — the handle serving and emulation use to
-// evaluate one scenario of a multi-scenario fit.
-func (f *Fit) WithPathway(name string) (*Fit, error) {
-	k := f.Set.Index(name)
-	if k < 0 {
-		return nil, fmt.Errorf("trend: fit has no pathway %q (have %v)", name, f.Set.Names())
-	}
-	return f.view(forcing.Set{Pathways: []forcing.Pathway{f.Set.Pathways[k]}}), nil
-}
-
-// view returns a fit sharing the receiver's coefficient tables under a
-// different pathway set, with no realization assignment.
-func (f *Fit) view(set forcing.Set) *Fit {
+	set := forcing.Single("scenario", append([]float64(nil), rf...))
 	return &Fit{Grid: f.Grid, Opt: f.Opt, Lead: f.Lead, Set: set, Beta: f.Beta, Rho: f.Rho, Sigma: f.Sigma}
 }

@@ -202,7 +202,13 @@ func TestStandardizeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	z := fit.Standardize(fields)
+	z := make([]sphere.Field, len(fields))
+	var step Step
+	for tt := range fields {
+		z[tt] = sphere.NewField(grid)
+		fit.StepAt(0, tt, &step)
+		step.Standardize(z[tt], fields[tt])
+	}
 	// Residual variance ~1 on average.
 	var ss float64
 	var n int
@@ -218,7 +224,8 @@ func TestStandardizeRoundTrip(t *testing.T) {
 	// Unstandardize must invert Standardize exactly.
 	for _, tt := range []int{0, T / 2, T - 1} {
 		back := z[tt].Copy()
-		fit.Unstandardize(back, tt)
+		fit.StepAt(0, tt, &step)
+		step.Unstandardize(back)
 		for pix := range back.Data {
 			if math.Abs(back.Data[pix]-fields[tt].Data[pix]) > 1e-9 {
 				t.Fatalf("round trip failed at t=%d pix=%d: %g vs %g", tt, pix, back.Data[pix], fields[tt].Data[pix])
@@ -294,7 +301,7 @@ func TestEra5TrendRecovery(t *testing.T) {
 	// and last year (same day-of-year, so harmonics cancel) with the
 	// generator's known response.
 	t0, t1 := 0, (years-1)*era5.DaysPerYear
-	m0, m1 := fit.MeanField(t0), fit.MeanField(t1)
+	m0, m1 := meanAt(fit, 0, t0), meanAt(fit, 0, t1)
 	rf := forcing.Historical()
 	xc0 := rf.RF(1980)
 	xc1 := rf.RF(1980 + float64(years-1))
@@ -369,8 +376,8 @@ func TestMeanFieldBeyondTrainingWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit.ExtendRF([]float64{1.3, 1.4})
-	m := fit.MeanField(45) // year 4, inside the extension
+	extended := fit.WithAnnualRF(append(append([]float64(nil), annual...), 1.3, 1.4))
+	m := meanAt(extended, 0, 45) // year 4, inside the extension
 	if m.Data[0] < 270 || m.Data[0] > 295 {
 		t.Errorf("extrapolated mean %g K implausible", m.Data[0])
 	}
@@ -386,16 +393,16 @@ func TestAccumulatorValidation(t *testing.T) {
 	for i := range annual {
 		annual[i] = 2 + 0.1*float64(i)
 	}
-	if _, err := NewAccumulator(grid, 0, 73, annual, 0, opt); err == nil {
+	if _, err := newAccumulator(grid, 0, 73, annual, 0, opt); err == nil {
 		t.Error("expected error for zero realizations")
 	}
-	if _, err := NewAccumulator(grid, 1, 73, annual, -1, opt); err == nil {
+	if _, err := newAccumulator(grid, 1, 73, annual, -1, opt); err == nil {
 		t.Error("expected error for negative lead")
 	}
-	if _, err := NewAccumulator(grid, 1, 73*20, annual, 0, opt); err == nil {
+	if _, err := newAccumulator(grid, 1, 73*20, annual, 0, opt); err == nil {
 		t.Error("expected error for short forcing record")
 	}
-	acc, err := NewAccumulator(grid, 1, 73, annual, 0, opt)
+	acc, err := newAccumulator(grid, 1, 73, annual, 0, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +448,7 @@ func TestAccumulatorMatchesFitEnsemble(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := NewAccumulator(grid, 2, T, annual, 0, opt)
+	acc, err := newAccumulator(grid, 2, T, annual, 0, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,8 +527,8 @@ func TestFitEnsembleSetSingleMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	fitsEqual(t, got, want)
-	if got.NumPathways() != 1 || want.NumPathways() != 1 {
-		t.Fatalf("pathway counts %d/%d, want 1/1", got.NumPathways(), want.NumPathways())
+	if got.Set.Len() != 1 || want.Set.Len() != 1 {
+		t.Fatalf("pathway counts %d/%d, want 1/1", got.Set.Len(), want.Set.Len())
 	}
 	rf := got.AnnualRF()
 	for i := range annual {
@@ -540,7 +547,7 @@ func TestFitEnsembleSetSingleMatchesLegacy(t *testing.T) {
 // two realizations driven by two different forcing pathways, data
 // generated noise-free from one shared coefficient field, fitted
 // jointly. The pooled fit must recover the per-pathway mean trends —
-// PathwayMeanField under each pathway reproduces that pathway's
+// the fitted mean under each pathway reproduces that pathway's
 // generating mean — and the two means must genuinely differ (the
 // pathways diverge), so a positional single-forcing fit could not have
 // represented both.
@@ -597,7 +604,7 @@ func TestMixedPathwayRecoversTrends(t *testing.T) {
 	meanDiff := 0.0
 	for _, tt := range []int{0, T / 2, T - 1} {
 		for k, fields := range ens {
-			m := fit.PathwayMeanField(k, tt)
+			m := meanAt(fit, k, tt)
 			for pix := range m.Data {
 				want := fields[tt].Data[pix]
 				if diff := math.Abs(m.Data[pix] - want); diff > 1e-5*(1+math.Abs(want)) {
@@ -605,7 +612,7 @@ func TestMixedPathwayRecoversTrends(t *testing.T) {
 				}
 			}
 		}
-		a, b := fit.PathwayMeanField(0, tt), fit.PathwayMeanField(1, tt)
+		a, b := meanAt(fit, 0, tt), meanAt(fit, 1, tt)
 		for pix := range a.Data {
 			if d := math.Abs(a.Data[pix] - b.Data[pix]); d > meanDiff {
 				meanDiff = d
@@ -618,28 +625,23 @@ func TestMixedPathwayRecoversTrends(t *testing.T) {
 
 	// Pathway-keyed standardization round-trips.
 	z := sphere.NewField(grid)
-	fit.PathwayStandardizeInto(1, z, ens[1][5], 5)
+	var step Step
+	fit.StepAt(1, 5, &step)
+	step.Standardize(z, ens[1][5])
 	y := z.Copy()
-	fit.PathwayUnstandardize(1, y, 5)
+	step.Unstandardize(y)
 	for pix := range y.Data {
 		if diff := math.Abs(y.Data[pix] - ens[1][5].Data[pix]); diff > 1e-8 {
 			t.Fatalf("pathway unstandardize pixel %d: %g, want %g", pix, y.Data[pix], ens[1][5].Data[pix])
 		}
 	}
 
-	// WithPathway views key evaluation to a named pathway.
-	view, err := fit.WithPathway("rampB")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mv, m1 := view.MeanField(10), fit.PathwayMeanField(1, 10)
+	// A scenario view over one pathway's forcing evaluates that pathway.
+	mv, m1 := meanAt(fit.WithAnnualRF(rampB), 0, 10), meanAt(fit, 1, 10)
 	for pix := range mv.Data {
 		if mv.Data[pix] != m1.Data[pix] {
-			t.Fatalf("WithPathway mean pixel %d: %g, want %g", pix, mv.Data[pix], m1.Data[pix])
+			t.Fatalf("WithAnnualRF mean pixel %d: %g, want %g", pix, mv.Data[pix], m1.Data[pix])
 		}
-	}
-	if _, err := fit.WithPathway("no-such"); err == nil {
-		t.Fatal("expected error for unknown pathway name")
 	}
 }
 
@@ -671,7 +673,7 @@ func TestAccumulatorForkMerge(t *testing.T) {
 		}
 	}
 	forked := func() *Fit {
-		acc, err := NewAccumulator(grid, R, T, annual, 0, opt)
+		acc, err := newAccumulator(grid, R, T, annual, 0, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -719,11 +721,11 @@ func TestAccumulatorForkMerge(t *testing.T) {
 	}
 
 	// Merging mismatched shapes must fail.
-	other, err := NewAccumulator(sphere.NewGrid(5, 8), 1, T, annual, 0, opt)
+	other, err := newAccumulator(sphere.NewGrid(5, 8), 1, T, annual, 0, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := NewAccumulator(grid, R, T, annual, 0, opt)
+	acc, err := newAccumulator(grid, R, T, annual, 0, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -849,12 +851,11 @@ func randVec(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// TestStepBitIdenticalToMapEvaluation pins the three public evaluation
-// entry points, all of which now run through trend.Step, to the retired
-// map-based PathwayMeanField bit for bit: at steps inside the forcing
-// record, on its last year, and past its end, under both pathways, and
-// through a WithAnnualRF view and after ExtendRF (which must drop the
-// cached lag tables).
+// TestStepBitIdenticalToMapEvaluation pins Step's three evaluations
+// (mean, standardize, unstandardize) to the retired map-based mean
+// evaluation bit for bit: at steps inside the forcing record, on its last
+// year, and past its end, under both pathways, and through WithAnnualRF
+// views over a shorter and a longer forcing record.
 func TestStepBitIdenticalToMapEvaluation(t *testing.T) {
 	grid := sphere.NewGrid(7, 9)
 	fit := mixedRhoFit(grid)
@@ -866,11 +867,13 @@ func TestStepBitIdenticalToMapEvaluation(t *testing.T) {
 	check := func(name string, f *Fit, k, tt int) {
 		t.Helper()
 		want := pathwayMeanFieldRef(f, k, tt)
-		got := f.PathwayMeanField(k, tt)
+		got := meanAt(f, k, tt)
+		var s Step
+		f.StepAt(k, tt, &s)
 		z := sphere.NewField(grid)
-		f.PathwayStandardizeInto(k, z, y, tt)
+		s.Standardize(z, y)
 		back := y.Copy()
-		f.PathwayUnstandardize(k, back, tt)
+		s.Unstandardize(back)
 		for pix := range want.Data {
 			m := want.Data[pix]
 			if math.Float64bits(got.Data[pix]) != math.Float64bits(m) {
@@ -895,10 +898,9 @@ func TestStepBitIdenticalToMapEvaluation(t *testing.T) {
 	for _, tt := range steps {
 		check("view", view, 0, tt)
 	}
-	check("pre-extend", fit, 0, 300)
-	fit.ExtendRF([]float64{9, 10, 11})
+	extended := fit.WithAnnualRF(append(append([]float64(nil), fit.AnnualRF()...), 9, 10, 11))
 	for _, tt := range steps {
-		check("extended", fit, 0, tt)
+		check("extended", extended, 0, tt)
 	}
 }
 
@@ -912,7 +914,7 @@ func TestStepSharedAcrossGoroutines(t *testing.T) {
 	var shared Step
 	done := make(chan sphere.Field, 8) // one send per goroutine
 	for g := 0; g < 4; g++ {
-		go func() { done <- fit.PathwayMeanField(1, 100) }() // races to build the table
+		go func() { done <- meanAt(fit, 1, 100) }() // races to build the table
 	}
 	for g := 0; g < 4; g++ {
 		<-done
@@ -937,9 +939,8 @@ func TestStepSharedAcrossGoroutines(t *testing.T) {
 }
 
 // BenchmarkTrend_Unstandardize is the trend restore of one generated
-// step at the live what-if shape (L = 16 grid, two lag decays): "held"
-// is what the generation loop runs (a Step reused across steps), "call"
-// the one-shot PathwayUnstandardize wrapper.
+// step at the live what-if shape (L = 16 grid, two lag decays), as the
+// generation loop runs it: one Step rebuilt in place every step.
 func BenchmarkTrend_Unstandardize(b *testing.B) {
 	grid := sphere.GridForBandLimit(16)
 	rng := rand.New(rand.NewSource(31))
@@ -966,10 +967,19 @@ func BenchmarkTrend_Unstandardize(b *testing.B) {
 			s.Unstandardize(z)
 		}
 	})
-	b.Run("call", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fit.PathwayUnstandardize(0, z, i%4000)
-		}
-	})
+}
+
+// meanAt evaluates the fitted deterministic mean of pathway k at step t
+// on the grid.
+func meanAt(f *Fit, k, t int) sphere.Field {
+	out := sphere.NewField(f.Grid)
+	var s Step
+	f.StepAt(k, t, &s)
+	s.Mean(out)
+	return out
+}
+
+// newAccumulator prepares a streaming fit with one shared forcing record.
+func newAccumulator(grid sphere.Grid, R, T int, annualRF []float64, lead int, opt Options) (*Accumulator, error) {
+	return NewAccumulatorSet(grid, R, T, forcing.Single("", annualRF), nil, lead, opt)
 }

@@ -8,10 +8,18 @@ import (
 	"exaclim/internal/linalg"
 )
 
-// TestSimulateBatchMatchesSerial pins the contract that lets the
-// ensemble engine batch the VAR stage: with per-member RNGs seeded like
-// the serial path, every column of every emitted state matrix must be
-// byte-identical to an independent Simulate run of that member.
+// simulateOne runs a one-chain SimulateBatch on rng — the one-member
+// case the serial emulation path is — handing emit the chain's state.
+func simulateOne(m *Model, v *linalg.Matrix, rng *rand.Rand, burn, steps int, emit func(t int, f []float64)) {
+	m.SimulateBatch(v, []*rand.Rand{rng}, burn, steps, func(tt int, states *linalg.Matrix) {
+		emit(tt, states.Data)
+	})
+}
+
+// TestSimulateBatchMatchesSerial pins the contract that makes one engine
+// serve both ensembles and single members: column c of every state matrix
+// an M-chain run emits must be byte-identical to a one-chain run on
+// rngs[c] (the 2 x 4 tile product against the matrix-vector kernel).
 func TestSimulateBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	dim, P, members, burn, steps := 23, 3, 5, 17, 12
@@ -27,7 +35,7 @@ func TestSimulateBatchMatchesSerial(t *testing.T) {
 	serial := make([][][]float64, members)
 	for c := 0; c < members; c++ {
 		serial[c] = make([][]float64, steps)
-		m.Simulate(v, rand.New(rand.NewSource(int64(c+1))), burn, steps, func(tt int, f []float64) {
+		simulateOne(m, v, rand.New(rand.NewSource(int64(c+1))), burn, steps, func(tt int, f []float64) {
 			serial[c][tt] = append([]float64(nil), f...)
 		})
 	}
@@ -45,7 +53,7 @@ func TestSimulateBatchMatchesSerial(t *testing.T) {
 			for d := 0; d < dim; d++ {
 				got, want := states.At(d, c), serial[c][tt][d]
 				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("step %d member %d dim %d: batch %x, serial %x",
+					t.Fatalf("step %d member %d dim %d: batch %x, one-chain %x",
 						tt, c, d, math.Float64bits(got), math.Float64bits(want))
 				}
 			}
@@ -57,10 +65,10 @@ func TestSimulateBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSimulateBatchInterleavedDraws checks the RNG handoff the ensemble
-// engine uses: drawing from a member's RNG inside emit (nugget noise)
-// must leave the batch stream identical to a serial loop that interleaves
-// the same draws.
+// TestSimulateBatchInterleavedDraws checks the RNG handoff the emulator
+// uses: drawing from a chain's RNG inside emit (nugget noise) must leave
+// column c of an M-chain run identical to a one-chain run on rngs[c] that
+// interleaves the same draws.
 func TestSimulateBatchInterleavedDraws(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	dim, P, members, burn, steps, extra := 8, 2, 3, 6, 9, 5
@@ -81,7 +89,7 @@ func TestSimulateBatchInterleavedDraws(t *testing.T) {
 	for c := 0; c < members; c++ {
 		serial[c] = make([]record, steps)
 		r := rand.New(rand.NewSource(int64(100 + c)))
-		m.Simulate(v, r, burn, steps, func(tt int, f []float64) {
+		simulateOne(m, v, r, burn, steps, func(tt int, f []float64) {
 			rec := record{state: append([]float64(nil), f...), noise: make([]float64, extra)}
 			for i := range rec.noise {
 				rec.noise[i] = r.NormFloat64()

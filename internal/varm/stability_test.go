@@ -42,7 +42,7 @@ func TestSpectralRadiusAR2KnownRoots(t *testing.T) {
 }
 
 // TestFittedModelsAreStationary: the fitting-time guard must leave every
-// dimension with spectral radius below 1, which is what makes Simulate
+// dimension with spectral radius below 1, which is what makes SimulateBatch
 // safe for arbitrarily long emulations.
 func TestFittedModelsAreStationary(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))

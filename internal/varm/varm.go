@@ -3,7 +3,9 @@
 // matrices are diagonal (Section III-A3 of the paper): every coefficient
 // evolves as an independent AR(P) process, while the innovation vector xi
 // carries the full cross-covariance U, estimated empirically (eq. 9) and
-// factorized by the (mixed-precision) Cholesky solver.
+// factorized by the (mixed-precision) Cholesky solver. Generation runs
+// through one engine, SimulateBatch: an ensemble advances as the columns
+// of one state matrix, and one member is one column.
 package varm
 
 import (
@@ -169,19 +171,20 @@ func Jitter(u *linalg.Matrix, eps float64) float64 {
 	return j
 }
 
-// SimulateBatch runs M = len(rngs) independent VAR chains in lockstep,
-// advancing a Dim x M state matrix (member c in column c) with one
-// lower-triangular matrix-matrix product per step instead of M
-// LowerMulVec calls — the batched counterpart of Simulate used by the
-// ensemble engine. Member c draws its innovations from rngs[c] in the
-// same per-step order as Simulate, and LowerMulMat accumulates in
-// LowerMulVec's order, so column c of every emitted state matrix is
-// bitwise identical to a serial Simulate(v, rngs[c], burnIn, steps, ...)
-// run. emit receives the shared state matrix, reused for the next step:
-// copy (or fully consume) it before returning. rngs[c] must not be
-// touched by another goroutine while SimulateBatch is inside a step, but
-// emit may use it between steps (the ensemble engine draws each member's
-// nugget noise there, preserving the serial per-member RNG stream).
+// SimulateBatch runs the VAR forward from zero initial state — the
+// emulation core of Section III-B — for M = len(rngs) independent chains
+// in lockstep: a Dim x M state matrix (chain c in column c) advances with
+// one lower-triangular product xi = V eta per step, burnIn steps are
+// discarded, and emit receives every kept state matrix. It is the only VAR
+// recursion: one chain is the one-column case, for which LowerMulMat runs
+// the matrix-vector kernel. Chain c draws its innovations from rngs[c] in
+// ascending dimension order and LowerMulMat accumulates every column in
+// the same order, so column c of every emitted state matrix is bitwise
+// identical to a one-chain run on rngs[c]. emit receives the shared state
+// matrix, reused for the next step: copy (or fully consume) it before
+// returning. rngs[c] must not be touched by another goroutine while
+// SimulateBatch is inside a step, but emit may use it between steps (the
+// emulator draws each member's nugget noise there).
 func (m *Model) SimulateBatch(v *linalg.Matrix, rngs []*rand.Rand, burnIn, steps int, emit func(t int, states *linalg.Matrix)) {
 	if v.Rows != m.Dim || v.Cols != m.Dim {
 		panic(fmt.Sprintf("varm: factor is %dx%d, want %dx%d", v.Rows, v.Cols, m.Dim, m.Dim))
@@ -194,27 +197,30 @@ func (m *Model) SimulateBatch(v *linalg.Matrix, rngs []*rand.Rand, burnIn, steps
 	for p := range hist {
 		hist[p] = linalg.NewMatrix(m.Dim, M)
 	}
+	// phis[p][d*M+c] = Phi[p][d]: each coefficient repeated along its
+	// state row, so the AR update is one flat loop whatever M is.
+	phis := make([][]float64, m.P)
+	for p := range phis {
+		phis[p] = make([]float64, m.Dim*M)
+		for i := range phis[p] {
+			phis[p][i] = m.Phi[p][i/M]
+		}
+	}
 	eta := linalg.NewMatrix(m.Dim, M)
 	state := linalg.NewMatrix(m.Dim, M)
 	for t := -burnIn; t < steps; t++ {
-		// Per member, draw dimensions in ascending order — the exact
-		// NormFloat64 call sequence of the serial path.
+		// Per chain, draw dimensions in ascending order, so a chain's
+		// NormFloat64 call sequence does not depend on its neighbours.
 		for c, rng := range rngs {
 			for d := 0; d < m.Dim; d++ {
 				eta.Data[d*M+c] = rng.NormFloat64()
 			}
 		}
 		v.LowerMulMat(eta, state)
-		for p := 0; p < m.P; p++ {
-			phi := m.Phi[p]
-			prev := hist[p]
-			for d := 0; d < m.Dim; d++ {
-				pd := phi[d]
-				srow := state.Data[d*M : (d+1)*M]
-				prow := prev.Data[d*M : (d+1)*M]
-				for c := range srow {
-					srow[c] += pd * prow[c]
-				}
+		for p, phi := range phis {
+			s, prev := state.Data[:len(phi)], hist[p].Data[:len(phi)]
+			for i, f := range phi {
+				s[i] += f * prev[i]
 			}
 		}
 		// Rotate history so hist[0] holds the newest states.
@@ -222,44 +228,6 @@ func (m *Model) SimulateBatch(v *linalg.Matrix, rngs []*rand.Rand, burnIn, steps
 		copy(hist[1:], hist[:m.P-1])
 		hist[0] = last
 		copy(hist[0].Data, state.Data)
-		if t >= 0 {
-			emit(t, state)
-		}
-	}
-}
-
-// Simulate runs the VAR forward for steps steps from zero initial state,
-// drawing innovations xi = V eta with the given lower-triangular factor,
-// discarding burnIn steps first, and invoking emit for each kept state.
-// The same state slice is reused between calls; emit must copy if it
-// retains. This is the emulation core of Section III-B.
-func (m *Model) Simulate(v *linalg.Matrix, rng *rand.Rand, burnIn, steps int, emit func(t int, f []float64)) {
-	if v.Rows != m.Dim || v.Cols != m.Dim {
-		panic(fmt.Sprintf("varm: factor is %dx%d, want %dx%d", v.Rows, v.Cols, m.Dim, m.Dim))
-	}
-	hist := make([][]float64, m.P)
-	for p := range hist {
-		hist[p] = make([]float64, m.Dim)
-	}
-	eta := make([]float64, m.Dim)
-	state := make([]float64, m.Dim)
-	for t := -burnIn; t < steps; t++ {
-		for d := range eta {
-			eta[d] = rng.NormFloat64()
-		}
-		v.LowerMulVec(eta, state)
-		for p := 0; p < m.P; p++ {
-			phi := m.Phi[p]
-			prev := hist[p]
-			for d := 0; d < m.Dim; d++ {
-				state[d] += phi[d] * prev[d]
-			}
-		}
-		// Rotate history so hist[0] holds the newest state.
-		last := hist[m.P-1]
-		copy(hist[1:], hist[:m.P-1])
-		hist[0] = last
-		copy(hist[0], state)
 		if t >= 0 {
 			emit(t, state)
 		}

@@ -263,7 +263,7 @@ func TestSimulateStationaryMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const T = 40000
 	var ss [4]float64
-	m.Simulate(v, rng, 200, T, func(t2 int, f []float64) {
+	simulateOne(m, v, rng, 200, T, func(t2 int, f []float64) {
 		for d := 0; d < dim; d++ {
 			ss[d] += f[d] * f[d]
 		}
@@ -282,7 +282,7 @@ func TestSimulateEmitsCopiesSafely(t *testing.T) {
 	v := linalg.Eye(2)
 	rng := rand.New(rand.NewSource(8))
 	seen := make([][]float64, 0, 10)
-	m.Simulate(v, rng, 0, 10, func(t2 int, f []float64) {
+	simulateOne(m, v, rng, 0, 10, func(t2 int, f []float64) {
 		seen = append(seen, append([]float64(nil), f...))
 	})
 	if len(seen) != 10 {
