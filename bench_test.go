@@ -655,53 +655,29 @@ func BenchmarkServe_PointSeries(b *testing.B) {
 	})
 }
 
-// BenchmarkServe_FieldF32 prices a float32 field at L=64 two ways: the
-// `f64-narrow` sub decodes and synthesizes a float64 field, then narrows
-// it in a separate pass (what a consumer of Field would do), and `f32` is
-// FieldF32 — float32 decode, the same float64 fold, and the narrowing
-// done by the ring write itself, so no float64 grid ever exists.
+// BenchmarkServe_FieldF32 prices a float32 field at L=64: the `f32` sub
+// drives /v1/field?format=f32 through the handler, which decodes and
+// synthesizes the float64 field and narrows each value as it encodes.
 // CacheBytes:1 evicts every entry immediately, so each request pays the
-// full decode+synthesis kernel. The two share every loop but the ring
-// write, so f32 should cost no more than f64-narrow; the 1.5x this
-// benchmark once gated on belonged to a float32-table fold that measured
-// slower than this one at L=64 and is gone.
+// full decode+synthesis kernel.
 func BenchmarkServe_FieldF32(b *testing.B) {
-	newSrv := func(b *testing.B) *exaclim.Server {
-		r := pointBenchReader(b)
-		s, err := exaclim.NewServer(r, nil, exaclim.ServeConfig{CacheBytes: 1})
+	b.Run("f32", func(b *testing.B) {
+		s, err := exaclim.NewServer(pointBenchReader(b), nil, exaclim.ServeConfig{CacheBytes: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		return s
-	}
-	b.Run("f64-narrow", func(b *testing.B) {
-		s := newSrv(b)
-		if _, err := s.Field(context.Background(), 0, 0, 0); err != nil { // warm plan calibration
-			b.Fatal(err)
+		h := s.Handler()
+		get := func(t int) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/v1/field?member=0&scenario=0&t=%d&format=f32", t), nil))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("f32 field -> %d: %s", rec.Code, rec.Body.Bytes())
+			}
 		}
+		get(0) // warm plan calibration
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			data, err := s.Field(context.Background(), 0, 0, i%pointBenchSteps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			out := make([]float32, len(data))
-			for p, v := range data {
-				out[p] = float32(v)
-			}
-			_ = out
-		}
-	})
-	b.Run("f32", func(b *testing.B) {
-		s := newSrv(b)
-		if _, err := s.FieldF32(context.Background(), 0, 0, 0); err != nil { // warm plan calibration
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.FieldF32(context.Background(), 0, 0, i%pointBenchSteps); err != nil {
-				b.Fatal(err)
-			}
+			get(i % pointBenchSteps)
 		}
 	})
 }

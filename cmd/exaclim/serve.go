@@ -39,7 +39,7 @@ func runServe(args []string) {
 		liveSteps = fs.Int("liveSteps", 0, "steps per live scenario (0 = archive steps)")
 		liveT0    = fs.Int("liveT0", 0, "training-step offset of live step 0 (match the archive's -t0)")
 		seed      = fs.Int64("seed", 1, "base seed for live member emulation")
-		cacheMB   = fs.Int("cacheMB", 256, "field cache capacity in MiB")
+		cacheMB   = fs.Int("cacheMB", 256, "field cache capacity in MiB (one cache behind both the JSON and the f32 format)")
 		shards    = fs.Int("shards", 16, "field cache shards")
 		inflight  = fs.Int("max-inflight", 0, "cap on concurrently served requests; beyond it requests shed with 503 (0 = unlimited)")
 		timeout   = fs.Duration("timeout", 0, "per-request handling timeout, e.g. 5s (0 = none)")
@@ -49,7 +49,6 @@ func runServe(args []string) {
 		traceRate = fs.Float64("trace-sample", 0, "fraction of requests traced head-sampled in [0,1]; sampled spans are kept in the in-memory trace store")
 		slowMS    = fs.Int("slow-ms", 0, "capture and log any request slower than this many milliseconds, sampled or not (0 = off)")
 		traceDbg  = fs.Bool("trace-debug", false, "mount the trace store on /debug/traces (admin surface; keep off public listeners)")
-		synthW    = fs.Int("synth-workers", 0, "goroutines per full-field synthesis (0 = GOMAXPROCS-aware, capped at 4; negative = sequential). Keep the default under concurrent load: request-level parallelism already fills the cores")
 		smoke     = fs.String("smoke", "", "issue one-shot requests for this path (e.g. /v1/field?t=3), print, exit")
 		smokeN    = fs.Int("smoke-n", 1, "concurrent requests issued in -smoke mode")
 	)
@@ -118,7 +117,6 @@ func runServe(args []string) {
 		TraceSampleRate:    *traceRate,
 		SlowTraceThreshold: time.Duration(*slowMS) * time.Millisecond,
 		EnableTraceDebug:   *traceDbg,
-		SynthWorkers:       *synthW,
 	})
 	if err != nil {
 		fatal(err)

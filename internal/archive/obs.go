@@ -30,8 +30,7 @@ type sinkBox struct{ s obs.Sink }
 
 // SetObserver installs (or, with nil, removes) the sink receiving the
 // reader's metric events. Safe to call concurrently with reads; Series
-// cursors report through their parent reader's sink. Sink calls are
-// always made outside shard locks — the lockedcall invariant.
+// cursors report through their parent reader's sink.
 func (r *Reader) SetObserver(s obs.Sink) {
 	if s == nil {
 		r.sink.Store(nil)

@@ -21,12 +21,12 @@ import (
 // claim, where archived campaigns are reconstructed instead of re-read
 // from petabytes of raw grids.
 //
-// A Reader is safe for concurrent use. The chunk-decode cache is sharded
-// per (member, scenario) series, so concurrent reads of different series
-// never contend; reads within one series serialize on that series' shard
-// only. For fully lock-free replay fan-out, open one Series cursor per
-// goroutine: cursors own their decode buffers and synthesis scratch and
-// share nothing mutable with the Reader or each other.
+// A Reader is safe for concurrent use, and its read path takes no lock.
+// Per-step reads run on Series cursors, one parked per series (see
+// ReadPackedInto), so the chunk cache is the cursors' own. For replay
+// fan-out, open one Series cursor per goroutine: cursors own their
+// decode buffers and synthesis scratch and share nothing mutable with
+// the Reader or each other.
 type Reader struct {
 	h     Header
 	r     io.ReaderAt
@@ -41,28 +41,14 @@ type Reader struct {
 	plan     *sht.Plan
 	planErr  error
 
-	// shards[sid] caches the most recently read chunk of series sid. The
-	// shard lock protects only the cached bytes and a short record
-	// memcpy: chunk I/O and coefficient decode — the heavy work — always
-	// run outside it (the lockedcall invariant). Data handed out by
-	// ReadPacked never aliases cache state (pinned by regression test).
-	shards []readerShard
-
-	// recPool recycles the per-call record copies ReadPacked decodes
-	// from once the shard lock is released.
-	recPool sync.Pool
+	// idle[sid] parks the cursor that last served a per-step read of
+	// series sid, with its most recently read chunk. A read takes it out
+	// (or opens a fresh one when another read holds it) and parks it
+	// again, so a cursor is only ever used by one goroutine at a time.
+	idle []atomic.Pointer[Series]
 
 	// sink receives metric events (see obs.go); nil until SetObserver.
-	// Events are reported outside shard locks, never under them.
 	sink atomic.Pointer[sinkBox]
-}
-
-// readerShard is the per-series chunk cache.
-type readerShard struct {
-	mu    sync.Mutex
-	chunk int    // cached chunk index, -1 when empty
-	t0    int    // first step of the cached chunk
-	buf   []byte // raw verified chunk frame, reused across reads
 }
 
 // Open opens the archive file at path; Close releases it.
@@ -151,24 +137,15 @@ func NewReader(r io.ReaderAt, size int64) (*Reader, error) {
 			}
 		}
 	}
-	shards := make([]readerShard, h.Series())
-	for sid := range shards {
-		shards[sid].chunk = -1
-	}
-	rd := &Reader{
-		h:      h,
-		r:      r,
-		size:   size,
-		index:  index,
-		dim:    h.Dim(),
-		stepB:  stepB,
-		shards: shards,
-	}
-	rd.recPool.New = func() any {
-		b := make([]byte, stepB)
-		return &b
-	}
-	return rd, nil
+	return &Reader{
+		h:     h,
+		r:     r,
+		size:  size,
+		index: index,
+		dim:   h.Dim(),
+		stepB: stepB,
+		idle:  make([]atomic.Pointer[Series], h.Series()),
+	}, nil
 }
 
 // Header returns the archive header (bands shared; treat as read-only).
@@ -191,78 +168,34 @@ func (r *Reader) ensurePlan() (*sht.Plan, error) {
 }
 
 // readChunk reads and CRC-verifies chunk k of series sid into buf (grown
-// when too small), returning the backing buffer, its step payload view,
-// and the chunk's first step. It takes no locks: callers either hold the
-// series shard lock or own buf outright (Series cursors).
-func (r *Reader) readChunk(sid, k int, buf []byte) (raw, payload []byte, t0 int, err error) {
+// when too small), returning the backing buffer and the chunk's first
+// step. It takes no locks: the calling cursor owns buf outright.
+func (r *Reader) readChunk(sid, k int, buf []byte) (raw []byte, t0 int, err error) {
 	ref := r.index[sid][k]
 	if cap(buf) < int(ref.length) {
 		buf = make([]byte, ref.length)
 	}
 	buf = buf[:ref.length]
 	if _, err := r.r.ReadAt(buf, ref.off); err != nil {
-		return nil, nil, 0, fmt.Errorf("archive: reading chunk: %w", err)
+		return nil, 0, fmt.Errorf("archive: reading chunk: %w", err)
 	}
 	r.observe(MetricReadBytes, int64(len(buf)))
 	want := binary.LittleEndian.Uint32(buf[len(buf)-4:])
 	if got := crc32.ChecksumIEEE(buf[:len(buf)-4]); got != want {
-		return nil, nil, 0, fmt.Errorf("archive: series %d chunk %d checksum mismatch (corrupt or truncated chunk)", sid, k)
+		return nil, 0, fmt.Errorf("archive: series %d chunk %d checksum mismatch (corrupt or truncated chunk)", sid, k)
 	}
 	member := int(binary.LittleEndian.Uint32(buf[0:]))
 	scenario := int(binary.LittleEndian.Uint32(buf[4:]))
 	t0 = int(binary.LittleEndian.Uint32(buf[8:]))
 	count := int(binary.LittleEndian.Uint32(buf[12:]))
 	if r.h.seriesID(member, scenario) != sid || t0 != k*r.h.ChunkSteps {
-		return nil, nil, 0, fmt.Errorf("archive: chunk at series %d index %d identifies as member %d scenario %d t0 %d",
+		return nil, 0, fmt.Errorf("archive: chunk at series %d index %d identifies as member %d scenario %d t0 %d",
 			sid, k, member, scenario, t0)
 	}
 	if chunkHeaderLen+count*r.stepB+4 != len(buf) {
-		return nil, nil, 0, fmt.Errorf("archive: series %d chunk %d count %d disagrees with its length", sid, k, count)
+		return nil, 0, fmt.Errorf("archive: series %d chunk %d count %d disagrees with its length", sid, k, count)
 	}
-	return buf, buf[chunkHeaderLen : len(buf)-4], t0, nil
-}
-
-// fetchRecord copies the raw step record of (member, scenario, t) into
-// a pooled buffer and returns it. The caller must return the buffer
-// with recPool.Put when done decoding.
-//
-// The shard lock covers only cache bookkeeping and one record-sized
-// memcpy; the chunk read and the coefficient decode run outside it,
-// so a slow disk or an expensive dequantization never serializes a
-// whole series (the single-flight shape the analyzers enforce).
-func (r *Reader) fetchRecord(member, scenario, t int) (*[]byte, error) {
-	sid := r.h.seriesID(member, scenario)
-	k := t / r.h.ChunkSteps
-	sh := &r.shards[sid]
-
-	recp := r.recPool.Get().(*[]byte)
-	rec := (*recp)[:r.stepB]
-
-	sh.mu.Lock()
-	if sh.chunk == k {
-		off := chunkHeaderLen + (t-sh.t0)*r.stepB
-		copy(rec, sh.buf[off:off+r.stepB])
-		sh.mu.Unlock()
-		r.observe(MetricChunkHits, 1)
-	} else {
-		// Miss: claim the shard's buffer (marking the cache empty so no
-		// reader sees it mid-fill) and read the chunk unlocked. Racing
-		// misses read independently; the last to publish wins.
-		buf := sh.buf
-		sh.buf, sh.chunk = nil, -1
-		sh.mu.Unlock()
-		r.observe(MetricChunkMisses, 1)
-		raw, payload, t0, err := r.readChunk(sid, k, buf)
-		if err != nil {
-			r.recPool.Put(recp)
-			return nil, err
-		}
-		copy(rec, payload[(t-t0)*r.stepB:(t-t0+1)*r.stepB])
-		sh.mu.Lock()
-		sh.buf, sh.t0, sh.chunk = raw, t0, k
-		sh.mu.Unlock()
-	}
-	return recp, nil
+	return buf, t0, nil
 }
 
 // ReadPacked decodes the packed coefficient vector of step t of
@@ -282,26 +215,23 @@ func (r *Reader) ReadPackedF32(member, scenario, t int, dst []float32) ([]float3
 }
 
 // ReadPackedInto is ReadPacked at either width (methods cannot be
-// generic), for callers generic over it themselves.
+// generic), for callers generic over it themselves. It runs on the
+// series' parked cursor: Swap takes it (a concurrent read of the same
+// series finds none and opens its own, so racing reads never wait on
+// each other), the step decodes straight from the cursor's chunk buffer,
+// and the cursor is parked again — the last read to park wins.
 func ReadPackedInto[E sht.Real](r *Reader, member, scenario, t int, dst []E) ([]E, error) {
 	if err := r.h.checkCoord(member, scenario, t); err != nil {
 		return nil, err
 	}
-	if cap(dst) < r.dim {
-		dst = make([]E, r.dim)
+	idle := &r.idle[r.h.seriesID(member, scenario)]
+	cur := idle.Swap(nil)
+	if cur == nil {
+		cur = r.series(member, scenario)
 	}
-	dst = dst[:r.dim]
-	recp, err := r.fetchRecord(member, scenario, t)
-	if err != nil {
-		return nil, err
-	}
-	err = decodeStep((*recp)[:r.stepB], r.h.Bands, dst, nil)
-	r.recPool.Put(recp)
-	if err != nil {
-		return nil, err
-	}
-	r.observe(MetricStepDecodes, 1)
-	return dst, nil
+	dst, err := readStep(cur, t, dst)
+	idle.Store(cur)
+	return dst, err
 }
 
 // ReadField reconstructs the field of step t of (member, scenario) by
@@ -351,13 +281,18 @@ func (r *Reader) Series(member, scenario int) (*Series, error) {
 	if err := r.h.checkCoord(member, scenario, 0); err != nil {
 		return nil, err
 	}
+	return r.series(member, scenario), nil
+}
+
+// series opens a cursor over a validated (member, scenario).
+func (r *Reader) series(member, scenario int) *Series {
 	return &Series{
 		r:        r,
 		member:   member,
 		scenario: scenario,
 		sid:      r.h.seriesID(member, scenario),
 		chunk:    -1,
-	}, nil
+	}
 }
 
 // Series is a streaming cursor over one (member, scenario) series. Its
@@ -390,7 +325,7 @@ type Series struct {
 func (s *Series) SetObserver(sink obs.Sink) { s.sink = sink }
 
 // observe reports one metric event to the reader's sink and, when set,
-// the cursor's own. Like all sink calls, it is made outside shard locks.
+// the cursor's own.
 func (s *Series) observe(metric string, delta int64) {
 	s.r.observe(metric, delta)
 	if s.sink != nil {
@@ -418,7 +353,7 @@ func (s *Series) loadChunk(k int) error {
 	// buffer, so the old cache key must not survive it.
 	s.chunk = -1
 	s.observe(MetricChunkMisses, 1)
-	raw, _, t0, err := s.r.readChunk(s.sid, k, s.buf)
+	raw, t0, err := s.r.readChunk(s.sid, k, s.buf)
 	if err != nil {
 		return err
 	}
@@ -446,8 +381,15 @@ func (s *Series) ReadPacked(t int, dst []float64) ([]float64, error) {
 	if err := s.r.h.checkCoord(s.member, s.scenario, t); err != nil {
 		return nil, err
 	}
+	return readStep(s, t, dst)
+}
+
+// readStep is the one single-step read under Series.ReadPacked and
+// ReadPackedInto: it decodes validated step t of cursor s into dst
+// (allocated when too small) straight from the cursor's chunk buffer.
+func readStep[E sht.Real](s *Series, t int, dst []E) ([]E, error) {
 	if cap(dst) < s.r.dim {
-		dst = make([]float64, s.r.dim)
+		dst = make([]E, s.r.dim)
 	}
 	dst = dst[:s.r.dim]
 	if err := s.loadChunk(t / s.r.h.ChunkSteps); err != nil {

@@ -205,59 +205,45 @@ func TrainFromSet(src source.Ensemble, set forcing.Set, lead int, cfg Config) (*
 	if err != nil {
 		return nil, fmt.Errorf("emulator: trend fit: %w", err)
 	}
-	if par.SpanWorkers(cfg.Workers, R) <= 1 {
+	nTrend := par.SpanWorkers(cfg.Workers, R)
+	parts := make([]*trend.Accumulator, nTrend)
+	trendErrs := make([]error, nTrend)
+	par.ForSpans(cfg.Workers, R, func(g, lo, hi int) {
+		// One span folds straight into acc, whose pixel sweep keeps its
+		// own fan-out (Fork would force it sequential).
+		part := acc
+		if nTrend > 1 {
+			part = acc.Fork()
+		}
+		parts[g] = part
 		y := sphere.NewField(grid)
-		for r := 0; r < R; r++ {
+		for r := lo; r < hi; r++ {
 			cur, err := src.Series(r)
 			if err != nil {
-				return nil, fmt.Errorf("emulator: trend pass: %w", err)
+				trendErrs[g] = err
+				return
 			}
 			for t := 0; t < T; t++ {
 				if err := cur.ReadInto(y, t); err != nil {
 					cur.Close()
-					return nil, fmt.Errorf("emulator: trend pass: %w", err)
+					trendErrs[g] = err
+					return
 				}
-				if err := acc.Add(r, t, y); err != nil {
+				if err := part.Add(r, t, y); err != nil {
 					cur.Close()
-					return nil, fmt.Errorf("emulator: trend fit: %w", err)
+					trendErrs[g] = err
+					return
 				}
 			}
 			cur.Close()
 		}
-	} else {
-		nTrend := par.SpanWorkers(cfg.Workers, R)
-		parts := make([]*trend.Accumulator, nTrend)
-		trendErrs := make([]error, nTrend)
-		par.ForSpans(cfg.Workers, R, func(g, lo, hi int) {
-			part := acc.Fork()
-			parts[g] = part
-			y := sphere.NewField(grid)
-			for r := lo; r < hi; r++ {
-				cur, err := src.Series(r)
-				if err != nil {
-					trendErrs[g] = err
-					return
-				}
-				for t := 0; t < T; t++ {
-					if err := cur.ReadInto(y, t); err != nil {
-						cur.Close()
-						trendErrs[g] = err
-						return
-					}
-					if err := part.Add(r, t, y); err != nil {
-						cur.Close()
-						trendErrs[g] = err
-						return
-					}
-				}
-				cur.Close()
-			}
-		})
-		for g := range trendErrs {
-			if trendErrs[g] != nil {
-				return nil, fmt.Errorf("emulator: trend pass: %w", trendErrs[g])
-			}
+	})
+	for g := range trendErrs {
+		if trendErrs[g] != nil {
+			return nil, fmt.Errorf("emulator: trend pass: %w", trendErrs[g])
 		}
+	}
+	if nTrend > 1 {
 		for _, part := range parts {
 			if err := acc.Merge(part); err != nil {
 				return nil, fmt.Errorf("emulator: trend fit: %w", err)

@@ -7,25 +7,6 @@ import (
 	"sync/atomic"
 )
 
-// cacheElem is the element type of a cached field: the server keeps
-// float64 fields for JSON consumers and float32 fields for the raw f32
-// serving path, in separate caches so neither namespace evicts the
-// other's working set unpredictably.
-type cacheElem interface {
-	float32 | float64
-}
-
-// elemBytes returns the storage cost of one E, the unit of the cache's
-// byte accounting.
-func elemBytes[E cacheElem]() int64 {
-	switch any(E(0)).(type) {
-	case float32:
-		return 4
-	default:
-		return 8
-	}
-}
-
 // fieldCache is a sharded LRU over synthesized fields with single-flight
 // load coalescing: N concurrent requests for one missing key trigger
 // exactly one underlying load, and every waiter receives the loader's
@@ -33,11 +14,12 @@ func elemBytes[E cacheElem]() int64 {
 // only within a shard; the load itself (archive decode + synthesis, or
 // live emulation) always runs outside any lock.
 //
-// Values are shared read-only slices: callers must not mutate what Get
-// returns. That is what makes a cache hit byte-identical to the uncached
-// read — the loader's slice is handed to every requester as-is.
-type fieldCache[E cacheElem] struct {
-	shards []cacheShard[E]
+// Values are shared read-only float64 slices: callers must not mutate
+// what Get returns. That is what makes a cache hit byte-identical to the
+// uncached read — the loader's slice is handed to every requester as-is,
+// the JSON and the float32 response writer alike.
+type fieldCache struct {
+	shards []cacheShard
 	mask   uint64
 
 	hits      atomic.Int64
@@ -64,33 +46,33 @@ func (k cacheKey) hash() uint64 {
 }
 
 // cacheEntry is one resident field, a node of its shard's LRU list.
-type cacheEntry[E cacheElem] struct {
+type cacheEntry struct {
 	key        cacheKey
-	val        []E
-	prev, next *cacheEntry[E]
+	val        []float64
+	prev, next *cacheEntry
 }
 
 // flight is one in-progress load; waiters block on done.
-type flight[E cacheElem] struct {
+type flight struct {
 	done chan struct{}
-	val  []E
+	val  []float64
 	err  error
 }
 
 // cacheShard holds one LRU segment plus its in-flight loads. The
 // sentinel's next is the most recently used entry.
-type cacheShard[E cacheElem] struct {
+type cacheShard struct {
 	mu       sync.Mutex
-	entries  map[cacheKey]*cacheEntry[E]
-	flights  map[cacheKey]*flight[E]
-	sentinel cacheEntry[E] // ring list head
+	entries  map[cacheKey]*cacheEntry
+	flights  map[cacheKey]*flight
+	sentinel cacheEntry // ring list head
 	bytes    int64
 	capacity int64
 }
 
 // newFieldCache builds a cache of capacityBytes split over shards
 // (rounded up to a power of two, at least 1).
-func newFieldCache[E cacheElem](capacityBytes int64, shards int) *fieldCache[E] {
+func newFieldCache(capacityBytes int64, shards int) *fieldCache {
 	n := 1
 	for n < shards {
 		n <<= 1
@@ -98,15 +80,15 @@ func newFieldCache[E cacheElem](capacityBytes int64, shards int) *fieldCache[E] 
 	if capacityBytes < 1 {
 		capacityBytes = 1
 	}
-	c := &fieldCache[E]{shards: make([]cacheShard[E], n), mask: uint64(n - 1)}
+	c := &fieldCache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
 	per := capacityBytes / int64(n)
 	if per < 1 {
 		per = 1
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.entries = make(map[cacheKey]*cacheEntry[E])
-		sh.flights = make(map[cacheKey]*flight[E])
+		sh.entries = make(map[cacheKey]*cacheEntry)
+		sh.flights = make(map[cacheKey]*flight)
 		sh.sentinel.prev = &sh.sentinel
 		sh.sentinel.next = &sh.sentinel
 		sh.capacity = per
@@ -114,19 +96,19 @@ func newFieldCache[E cacheElem](capacityBytes int64, shards int) *fieldCache[E] 
 	return c
 }
 
-func (c *fieldCache[E]) shard(k cacheKey) *cacheShard[E] {
+func (c *fieldCache) shard(k cacheKey) *cacheShard {
 	return &c.shards[k.hash()&c.mask]
 }
 
 // unlink removes e from the LRU ring.
-func (e *cacheEntry[E]) unlink() {
+func (e *cacheEntry) unlink() {
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	e.prev, e.next = nil, nil
 }
 
 // pushFront inserts e as most recently used. Called with the shard lock.
-func (sh *cacheShard[E]) pushFront(e *cacheEntry[E]) {
+func (sh *cacheShard) pushFront(e *cacheEntry) {
 	e.next = sh.sentinel.next
 	e.prev = &sh.sentinel
 	e.next.prev = e
@@ -134,23 +116,23 @@ func (sh *cacheShard[E]) pushFront(e *cacheEntry[E]) {
 }
 
 // insert adds a loaded value and evicts from the cold end until the
-// shard fits its capacity. Called with the shard lock held.
-func (sh *cacheShard[E]) insert(c *fieldCache[E], key cacheKey, val []E) {
-	eb := elemBytes[E]()
+// shard fits its capacity (8 bytes per float64 value). Called with the
+// shard lock held.
+func (sh *cacheShard) insert(c *fieldCache, key cacheKey, val []float64) {
 	if old, ok := sh.entries[key]; ok {
-		sh.bytes -= int64(len(old.val)) * eb
+		sh.bytes -= int64(len(old.val)) * 8
 		old.unlink()
 		delete(sh.entries, key)
 	}
-	e := &cacheEntry[E]{key: key, val: val}
+	e := &cacheEntry{key: key, val: val}
 	sh.entries[key] = e
 	sh.pushFront(e)
-	sh.bytes += int64(len(val)) * eb
+	sh.bytes += int64(len(val)) * 8
 	for sh.bytes > sh.capacity && sh.sentinel.prev != &sh.sentinel {
 		cold := sh.sentinel.prev
 		cold.unlink()
 		delete(sh.entries, cold.key)
-		sh.bytes -= int64(len(cold.val)) * eb
+		sh.bytes -= int64(len(cold.val)) * 8
 		c.evictions.Add(1)
 	}
 }
@@ -165,7 +147,7 @@ func (sh *cacheShard[E]) insert(c *fieldCache[E], key cacheKey, val []E) {
 // always runs to completion. (The loading caller itself does not watch
 // ctx mid-load for the same reason: aborting would fail the waiters it
 // coalesced.)
-func (c *fieldCache[E]) getOrLoad(ctx context.Context, key cacheKey, load func() ([]E, error)) ([]E, error) {
+func (c *fieldCache) getOrLoad(ctx context.Context, key cacheKey, load func() ([]float64, error)) ([]float64, error) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	if e, ok := sh.entries[key]; ok {
@@ -194,7 +176,7 @@ func (c *fieldCache[E]) getOrLoad(ctx context.Context, key cacheKey, load func()
 			return nil, ctx.Err()
 		}
 	}
-	f := &flight[E]{done: make(chan struct{})}
+	f := &flight{done: make(chan struct{})}
 	sh.flights[key] = f
 	sh.mu.Unlock()
 	c.misses.Add(1)
@@ -229,7 +211,7 @@ func (c *fieldCache[E]) getOrLoad(ctx context.Context, key cacheKey, load func()
 // emulation uses to cache every step it had to generate on the way to
 // the requested one. A key with an in-progress flight is skipped (the
 // flight's own result wins).
-func (c *fieldCache[E]) add(key cacheKey, val []E) {
+func (c *fieldCache) add(key cacheKey, val []float64) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	if _, inFlight := sh.flights[key]; !inFlight {
@@ -255,7 +237,7 @@ type CacheStats struct {
 }
 
 // stats snapshots the counters and resident totals.
-func (c *fieldCache[E]) stats() CacheStats {
+func (c *fieldCache) stats() CacheStats {
 	s := CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),

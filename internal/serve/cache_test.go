@@ -16,7 +16,7 @@ import (
 // racing for one missing key run the loader exactly once and all observe
 // its result.
 func TestCacheSingleFlight(t *testing.T) {
-	c := newFieldCache[float64](1<<20, 4)
+	c := newFieldCache(1<<20, 4)
 	key := cacheKey{member: 1, scenario: 2, t: 3}
 	var loads atomic.Int64
 	release := make(chan struct{})
@@ -62,7 +62,7 @@ func TestCacheSingleFlight(t *testing.T) {
 // TestCacheErrorNotCached pins that a failed load is not cached: the
 // next request retries the loader.
 func TestCacheErrorNotCached(t *testing.T) {
-	c := newFieldCache[float64](1<<20, 1)
+	c := newFieldCache(1<<20, 1)
 	key := cacheKey{t: 1}
 	calls := 0
 	_, err := c.getOrLoad(context.Background(), key, func() ([]float64, error) {
@@ -91,7 +91,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 // end is dropped while recently used entries survive.
 func TestCacheEviction(t *testing.T) {
 	// One shard, capacity for two 8-value entries (2 * 64 bytes).
-	c := newFieldCache[float64](128, 1)
+	c := newFieldCache(128, 1)
 	load := func(id int) func() ([]float64, error) {
 		return func() ([]float64, error) {
 			v := make([]float64, 8)
@@ -133,7 +133,7 @@ func TestCacheEviction(t *testing.T) {
 // flight for the same key, so opportunistic inserts can never clobber a
 // coalesced load's result.
 func TestCacheAddSkipsInFlight(t *testing.T) {
-	c := newFieldCache[float64](1<<20, 1)
+	c := newFieldCache(1<<20, 1)
 	key := cacheKey{t: 7}
 	inLoad := make(chan struct{})
 	release := make(chan struct{})
@@ -163,7 +163,7 @@ func TestCacheAddSkipsInFlight(t *testing.T) {
 // shard locking. Values are keyed to their content so any cross-key
 // corruption is detected.
 func TestCacheConcurrentMixed(t *testing.T) {
-	c := newFieldCache[float64](4096, 4)
+	c := newFieldCache(4096, 4)
 	const N, keys = 16, 32
 	var wg sync.WaitGroup
 	for g := 0; g < N; g++ {
@@ -204,7 +204,7 @@ func TestCacheConcurrentMixed(t *testing.T) {
 // flight: waiters get an error instead of blocking forever, the panic
 // propagates to the loading caller, and the key stays usable.
 func TestCachePanickingLoader(t *testing.T) {
-	c := newFieldCache[float64](1<<20, 1)
+	c := newFieldCache(1<<20, 1)
 	key := cacheKey{t: 9}
 	inLoad := make(chan struct{})
 	release := make(chan struct{})
@@ -249,7 +249,7 @@ func TestCachePanickingLoader(t *testing.T) {
 // leaves immediately with ctx.Err(), while the flight it was waiting on
 // runs to completion and still populates the cache for everyone else.
 func TestGetOrLoadWaiterCancel(t *testing.T) {
-	c := newFieldCache[float64](1<<20, 1)
+	c := newFieldCache(1<<20, 1)
 	key := cacheKey{member: 1, scenario: 2, t: 3}
 	inLoad := make(chan struct{})
 	release := make(chan struct{})

@@ -7,7 +7,9 @@ package serve
 import (
 	"compress/gzip"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -102,53 +104,92 @@ func TestPointsSeriesLive(t *testing.T) {
 	}
 }
 
-// TestFieldF32Path pins the float32 pipeline's accuracy against the
-// float64 field and the f32 cache's hit behavior. The two pipelines
-// round at different points (f32 decode going in, one rounding per pixel
-// coming out), so the bound is float32 working precision relative to the
-// field scale, not bit-identity.
+// serveField sends one /v1/field request through h and returns the body;
+// f32 selects the raw float32 format.
+func serveField(t *testing.T, h http.Handler, member, scenario, step int, f32 bool) []byte {
+	t.Helper()
+	url := fmt.Sprintf("/v1/field?member=%d&scenario=%d&t=%d", member, scenario, step)
+	if f32 {
+		url += "&format=f32"
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s -> %d: %s", url, rec.Code, rec.Body.Bytes())
+	}
+	return rec.Body.Bytes()
+}
+
+// checkNarrowed requires an f32 body to be want narrowed value by value,
+// bit for bit.
+func checkNarrowed(t *testing.T, body []byte, want []float64) {
+	t.Helper()
+	if len(body) != 4*len(want) {
+		t.Fatalf("f32 body %d bytes, want %d", len(body), 4*len(want))
+	}
+	for p := range want {
+		if got := binary.LittleEndian.Uint32(body[4*p:]); got != math.Float32bits(float32(want[p])) {
+			t.Fatalf("pixel %d: f32 %g != float32(%g)", p, math.Float32frombits(got), want[p])
+		}
+	}
+}
+
+// TestFieldF32Path pins the f32 format against the one float64 field:
+// the body is float32(Field) bit for bit, read from the same cache entry,
+// so the JSON read and the repeated f32 request are both hits and no
+// second cache ever fills.
 func TestFieldF32Path(t *testing.T) {
 	s, _ := testServer(t)
+	h := s.Handler()
+	first := serveField(t, h, 2, 1, 11, true)
 	want, err := s.Field(context.Background(), 2, 1, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.FieldF32(context.Background(), 2, 1, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("f32 field has %d points, want %d", len(got), len(want))
-	}
-	scale := 0.0
-	for p := range want {
-		if a := math.Abs(want[p]); a > scale {
-			scale = a
-		}
-	}
-	for p := range want {
-		if d := math.Abs(float64(got[p]) - want[p]); d > 1e-5*scale {
-			t.Fatalf("pixel %d: f32 %g vs f64 %g (diff %g, scale %g)", p, got[p], want[p], d, scale)
-		}
-	}
-	// Second request is a cache hit on the dedicated f32 cache; the
-	// float64 cache is untouched by the miss+hit pair above beyond its
-	// own single load.
-	again, err := s.FieldF32(context.Background(), 2, 1, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := range got {
-		if again[p] != got[p] {
-			t.Fatalf("pixel %d: cache hit %g != first read %g", p, again[p], got[p])
-		}
-	}
+	checkNarrowed(t, first, want)
+	checkNarrowed(t, serveField(t, h, 2, 1, 11, true), want)
 	st := s.Stats()
-	if st.CacheF32.Misses != 1 || st.CacheF32.Hits != 1 {
-		t.Errorf("f32 cache stats %+v, want 1 miss + 1 hit", st.CacheF32)
+	if st.Cache.Misses != 1 || st.Cache.Hits != 2 || st.FieldLoads != 1 {
+		t.Errorf("cache stats %+v with %d loads, want 1 miss + 2 hits and 1 load", st.Cache, st.FieldLoads)
 	}
-	if st.CacheF32.Bytes != int64(4*len(got)) {
-		t.Errorf("f32 cache holds %d bytes, want %d", st.CacheF32.Bytes, 4*len(got))
+	if st.Cache.Bytes != int64(8*len(want)) {
+		t.Errorf("cache holds %d bytes, want %d", st.Cache.Bytes, 8*len(want))
+	}
+	if st.CacheF32 != (CacheStats{}) {
+		t.Errorf("CacheF32 %+v, want zero", st.CacheF32)
+	}
+}
+
+// TestFieldFormatsShareOneLoad pins the one cache behind both formats:
+// for an archived and for a live field, an f32 request followed by a
+// JSON request loads the field once, and the f32 body is float32 of the
+// JSON data bit for bit.
+func TestFieldFormatsShareOneLoad(t *testing.T) {
+	model := liveModel(t)
+	r := buildArchive(t, model.Grid, fixL)
+	liveScen := r.Header().Scenarios
+	for _, c := range []struct {
+		name     string
+		scenario int
+		loads    func(Stats) int64
+	}{
+		{"archived", 1, func(st Stats) int64 { return st.FieldLoads }},
+		{"live", liveScen, func(st Stats) int64 { return st.LiveLoads }},
+	} {
+		s, err := New(r, model, Config{CacheBytes: fixCacheCap, LiveScenarios: 1, LiveSteps: 8, BaseSeed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		body := serveField(t, h, 1, c.scenario, 5, true)
+		var fr FieldResponse
+		if err := json.Unmarshal(serveField(t, h, 1, c.scenario, 5, false), &fr); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n := c.loads(s.Stats()); n != 1 {
+			t.Errorf("%s field loaded %d times for two formats, want 1", c.name, n)
+		}
+		checkNarrowed(t, body, fr.Data)
 	}
 }
 
@@ -305,9 +346,9 @@ func TestWriteF32NoGridAlloc(t *testing.T) {
 		t.Skip("race-detector bookkeeping inflates AllocedBytesPerOp")
 	}
 	g := sphere.NewGrid(256, 512)
-	data := make([]float32, g.Points())
+	data := make([]float64, g.Points())
 	for i := range data {
-		data[i] = float32(i)
+		data[i] = float64(i)
 	}
 	req := httptest.NewRequest("GET", "/v1/field?format=f32", nil)
 	w := &discardRW{}

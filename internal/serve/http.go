@@ -324,10 +324,11 @@ var f32ChunkPool = sync.Pool{
 
 // writeF32 streams data as raw row-major little-endian float32 — the
 // layout raw climate archives typically store; dimensions travel in
-// headers. Values encode through a pooled chunk buffer instead of one
-// grid-sized allocation per request (pinned by the handler alloc test),
-// and compress when the client accepts gzip.
-func writeF32(w http.ResponseWriter, r *http.Request, g sphere.Grid, data []float32) {
+// headers. Each value is narrowed as it encodes into a pooled chunk
+// buffer, so neither a float32 grid nor a grid-sized byte buffer is
+// allocated per request (pinned by the handler alloc test), and the body
+// compresses when the client accepts gzip.
+func writeF32(w http.ResponseWriter, r *http.Request, g sphere.Grid, data []float64) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Exaclim-NLat", strconv.Itoa(g.NLat))
 	w.Header().Set("X-Exaclim-NLon", strconv.Itoa(g.NLon))
@@ -347,7 +348,7 @@ func writeF32(w http.ResponseWriter, r *http.Request, g sphere.Grid, data []floa
 			n = len(buf) / 4
 		}
 		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(data[off+i]))
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(float32(data[off+i])))
 		}
 		if _, err := body.Write(buf[:4*n]); err != nil {
 			return // client gone; the remaining chunks have no reader
@@ -400,21 +401,13 @@ func (s *Server) handleField(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g := s.h.Grid
-	if r.URL.Query().Get("format") == "f32" {
-		// The float32 path: for an archived field decode, synthesis
-		// output, cache and response all stay float32 wide and no float64
-		// grid ever exists; a live one is narrowed from the float64 cache.
-		data, err := s.FieldF32(r.Context(), member, scenario, t)
-		if err != nil {
-			httpError(w, err)
-			return
-		}
-		writeF32(w, r, g, data)
-		return
-	}
 	data, err := s.Field(r.Context(), member, scenario, t)
 	if err != nil {
 		httpError(w, err)
+		return
+	}
+	if r.URL.Query().Get("format") == "f32" {
+		writeF32(w, r, g, data)
 		return
 	}
 	writeJSON(w, r, FieldResponse{

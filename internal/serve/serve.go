@@ -47,9 +47,8 @@ import (
 
 // Config tunes a Server.
 type Config struct {
-	// CacheBytes bounds the field caches (default 256 MiB), split
-	// evenly between the float64 cache (JSON consumers) and the float32
-	// cache (the raw f32 serving path).
+	// CacheBytes bounds the field cache (default 256 MiB). The one cache
+	// holds float64 fields and serves both response formats.
 	CacheBytes int64
 	// CacheShards is the shard count, rounded up to a power of two
 	// (default 16). More shards means less lock contention across
@@ -119,14 +118,6 @@ type Config struct {
 	// EnableTraceDebug mounts /debug/traces on the handler — an admin
 	// surface, gated like EnablePprof.
 	EnableTraceDebug bool
-	// SynthWorkers bounds the goroutines each full-field synthesis fans
-	// out over (sht.WithWorkers). The default (0) resolves to a
-	// GOMAXPROCS-aware value deliberately capped at 4: under concurrent
-	// load request-level parallelism already fills the machine, and a
-	// per-request fan-out wider than a few cores would only add
-	// scheduling churn. Negative forces fully sequential synthesis.
-	// Synthesis output is bit-identical at every setting.
-	SynthWorkers int
 }
 
 // withDefaults fills zero fields.
@@ -146,25 +137,18 @@ func (c Config) withDefaults(h archive.Header) Config {
 	if c.EvalCacheEntries == 0 {
 		c.EvalCacheEntries = 1024
 	}
-	if c.SynthWorkers == 0 {
-		c.SynthWorkers = max(1, min(4, runtime.GOMAXPROCS(0)/2))
-	}
-	if c.SynthWorkers < 0 {
-		c.SynthWorkers = 1
-	}
 	return c
 }
 
 // Server answers field, point, box and ensemble-statistics queries over
 // one spectral archive and (optionally) one trained emulator.
 type Server struct {
-	r       *archive.Reader
-	model   *emulator.Model
-	h       archive.Header
-	cfg     Config
-	cache   *fieldCache[float64]
-	cache32 *fieldCache[float32] // f32 serving path: fields that never had f64 consumers
-	plan    *sht.Plan            // shared read-only; each synthesis fans out over cfg.SynthWorkers
+	r     *archive.Reader
+	model *emulator.Model
+	h     archive.Header
+	cfg   Config
+	cache *fieldCache // float64 fields behind both response formats
+	plan  *sht.Plan   // shared read-only; see New for its fan-out
 
 	evals *evalCache // point evaluators keyed by quantized (lat, lon)
 
@@ -184,10 +168,11 @@ type Server struct {
 
 // Stats is a point-in-time snapshot of the server's instrumentation.
 type Stats struct {
-	// Cache is the float64 field cache's counter snapshot.
+	// Cache is the field cache's counter snapshot; it serves both the
+	// JSON and the raw f32 format.
 	Cache CacheStats
-	// CacheF32 is the float32 field cache's counter snapshot (the raw
-	// f32 serving path).
+	// CacheF32 is always zero: there is no second cache. The field is
+	// kept because existing Stats consumers still read it.
 	CacheF32 CacheStats
 	// Evals is the point-evaluator cache's counter snapshot.
 	Evals EvalCacheStats
@@ -234,25 +219,23 @@ func New(r *archive.Reader, model *emulator.Model, cfg Config) (*Server, error) 
 			return nil, fmt.Errorf("serve: live pathway %d needs a name and annual values", i)
 		}
 	}
-	plan, err := sht.NewPlan(h.Grid, h.L, sht.WithWorkers(cfg.SynthWorkers))
+	// Each synthesis fans out over half the cores, at most 4. The cap is
+	// deliberate: requests already fan out across clients, so
+	// per-request parallelism is a latency lever for the lightly loaded
+	// case, not a throughput one. Output is bit-identical at any worker
+	// count; archive.Series cursors keep their fully sequential plans.
+	plan, err := sht.NewPlan(h.Grid, h.L, sht.WithWorkers(max(1, min(4, runtime.GOMAXPROCS(0)/2))))
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		r:       r,
-		model:   model,
-		h:       h,
-		cfg:     cfg,
-		cache:   newFieldCache[float64](cfg.CacheBytes/2, cfg.CacheShards),
-		cache32: newFieldCache[float32](cfg.CacheBytes/2, cfg.CacheShards),
-		evals:   newEvalCache(cfg.EvalCacheEntries),
-		// Each synthesis fans out over at most cfg.SynthWorkers
-		// goroutines (resolved in withDefaults). The cap is deliberate:
-		// requests already fan out across clients, so per-request
-		// parallelism is a latency lever for the lightly loaded case,
-		// not a throughput one. archive.Series cursors keep their fully
-		// sequential plans.
-		plan: plan,
+		r:     r,
+		model: model,
+		h:     h,
+		cfg:   cfg,
+		cache: newFieldCache(cfg.CacheBytes, cfg.CacheShards),
+		evals: newEvalCache(cfg.EvalCacheEntries),
+		plan:  plan,
 	}
 	if cfg.MaxInFlight > 0 {
 		s.inFlight = make(chan struct{}, cfg.MaxInFlight)
@@ -292,7 +275,6 @@ func (s *Server) Steps(scenario int) int {
 func (s *Server) Stats() Stats {
 	st := Stats{
 		Cache:      s.cache.stats(),
-		CacheF32:   s.cache32.stats(),
 		Evals:      s.evals.stats(),
 		FieldLoads: s.fieldLoads.Load(),
 		LiveLoads:  s.liveLoads.Load(),
@@ -372,63 +354,30 @@ func (s *Server) checkRange(member, scenario, t0, t1 int) error {
 // Field returns the full grid field of (member, scenario, t) as a shared
 // read-only slice in sphere.Field row-major layout. Concurrent requests
 // for one field coalesce into a single decode+synthesis; subsequent
-// requests hit the cache.
+// requests hit the cache. It backs both response formats: the f32 body is
+// this slice narrowed value by value as it is written.
 //
 // ctx bounds this caller's wait, not the shared work: a request that is
 // cancelled (client gone, http.TimeoutHandler fired) stops waiting on a
 // coalesced flight immediately, while the flight itself runs to
 // completion so the other waiters — and the cache — still get the field.
 func (s *Server) Field(ctx context.Context, member, scenario, t int) ([]float64, error) {
-	if err := s.admitField(ctx, member, scenario, t); err != nil {
+	if err := s.check(member, scenario, t); err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	s.requests.Add(1)
 	return s.field(ctx, member, scenario, t)
 }
 
-// FieldF32 is Field at float32, read-only like it. An archived field is
-// decoded and synthesized at float32 width end to end and lives in its
-// own cache, so a workload with only f32 consumers stores fields at half
-// the bytes and double the resident entry count. A live field is emulated
-// in float64 (pixel-space noise and VAR state are float64-native) and
-// cached once, at that width; an f32 request narrows the cached field
-// into a private copy.
-func (s *Server) FieldF32(ctx context.Context, member, scenario, t int) ([]float32, error) {
-	if err := s.admitField(ctx, member, scenario, t); err != nil {
-		return nil, err
-	}
-	if !s.isLive(scenario) {
-		return archiveField(ctx, s, s.cache32, member, scenario, t)
-	}
-	data, err := s.field(ctx, member, scenario, t)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, len(data))
-	for i, v := range data {
-		out[i] = float32(v)
-	}
-	return out, nil
-}
-
-// admitField validates a field query, observes a cancellation that
-// preceded it, and counts the request.
-func (s *Server) admitField(ctx context.Context, member, scenario, t int) error {
-	if err := s.check(member, scenario, t); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.requests.Add(1)
-	return nil
-}
-
 // field is Field without the request accounting — the internal path
-// composite queries (statistics, live f32 fields) fetch through, so one
-// client query counts once no matter how many fields it touches.
+// composite queries (statistics) fetch through, so one client query
+// counts once no matter how many fields it touches.
 func (s *Server) field(ctx context.Context, member, scenario, t int) ([]float64, error) {
 	if !s.isLive(scenario) {
-		return archiveField(ctx, s, s.cache, member, scenario, t)
+		return s.archiveField(ctx, member, scenario, t)
 	}
 	ct := beginStage(ctx, stageCache)
 	defer ct.end()
@@ -439,23 +388,23 @@ func (s *Server) field(ctx context.Context, member, scenario, t int) ([]float64,
 	})
 }
 
-// archiveField is the one archive field load, at either width: through
-// cache c, and on a miss decode the packed coefficients and synthesize on
-// the serving grid. Inside the load ctx carries the request's trace state
-// only — the load itself is not cancellable (single-flight waiters share
-// its result).
-func archiveField[E sht.Real](ctx context.Context, s *Server, c *fieldCache[E], member, scenario, t int) ([]E, error) {
+// archiveField is the one archive field load: through the cache, and on
+// a miss decode the packed coefficients and synthesize on the serving
+// grid. Inside the load ctx carries the request's trace state only — the
+// load itself is not cancellable (single-flight waiters share its
+// result).
+func (s *Server) archiveField(ctx context.Context, member, scenario, t int) ([]float64, error) {
 	ct := beginStage(ctx, stageCache)
 	defer ct.end()
 	ctx = ct.ctx(ctx) // decode and synthesis nest under the cache span
-	return c.getOrLoad(ctx, cacheKey{member: member, scenario: scenario, t: t}, func() ([]E, error) {
+	return s.cache.getOrLoad(ctx, cacheKey{member: member, scenario: scenario, t: t}, func() ([]float64, error) {
 		s.fieldLoads.Add(1)
 		// The coefficients decode into the head of the grid they become: a
 		// grid that supports L has more than L^2 points, and
 		// SynthesizePacked reads all of its input before it writes a pixel.
-		out := make([]E, s.h.Grid.Points())
+		out := make([]float64, s.h.Grid.Points())
 		dt := beginStage(ctx, stageDecode)
-		packed, err := archive.ReadPackedInto(s.r, member, scenario, t, out[:0])
+		packed, err := s.r.ReadPacked(member, scenario, t, out[:0])
 		if err != nil {
 			dt.end()
 			return nil, err

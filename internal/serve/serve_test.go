@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -464,34 +463,10 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if len(raw) != 4*len(want) {
-		t.Fatalf("f32 body %d bytes, want %d", len(raw), 4*len(want))
-	}
 	if resp.Header.Get("X-Exaclim-NLat") == "" {
 		t.Error("missing X-Exaclim-NLat header")
 	}
-	// The body is the float32 pipeline's output, bit for bit; against the
-	// float64 field it agrees to float32 working precision (the pipelines
-	// round at different points, so exact equality is not expected).
-	want32, err := s.FieldF32(context.Background(), 1, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scale := 0.0
-	for p := range want {
-		if a := math.Abs(want[p]); a > scale {
-			scale = a
-		}
-	}
-	for p := range want {
-		got := math.Float32frombits(binary.LittleEndian.Uint32(raw[4*p:]))
-		if got != want32[p] {
-			t.Fatalf("f32 pixel %d: %g != FieldF32 %g", p, got, want32[p])
-		}
-		if d := math.Abs(float64(got) - want[p]); d > 1e-5*scale {
-			t.Fatalf("f32 pixel %d: %g vs f64 %g (diff %g)", p, got, want[p], d)
-		}
-	}
+	checkNarrowed(t, raw, want)
 
 	var sr SeriesResponse
 	getJSON("/v1/point?member=0&scenario=1&lat=30&lon=100&t0=2&t1=10", &sr)
@@ -769,10 +744,9 @@ func TestLiveSeriesHalfEvicted(t *testing.T) {
 	for i, v := range rf {
 		whatIf[i] = v + 1.5
 	}
-	// One shard, so LRU order is exact. CacheBytes is split evenly between
-	// the f64 and f32 caches: the f64 half holds steps/2 fields.
+	// One shard, so LRU order is exact, and room for steps/2 fields.
 	s, err := New(r, model, Config{
-		CacheBytes: int64(steps * grid.Points() * 8), CacheShards: 1,
+		CacheBytes: int64(steps / 2 * grid.Points() * 8), CacheShards: 1,
 		LiveSteps: steps, BaseSeed: baseSeed,
 		LivePathways: []forcing.Pathway{{Name: "whatif", Annual: whatIf}},
 	})

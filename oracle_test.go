@@ -3,10 +3,13 @@ package exaclim_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -42,12 +45,13 @@ const (
 
 // oracleEnv is the served system plus everything the naive path needs.
 type oracleEnv struct {
-	srv   *exaclim.Server
-	ref   *exaclim.ArchiveReader // second reader: its own chunk cache and plan
-	grid  exaclim.Grid
-	area  []float64
-	model *exaclim.Model
-	live  []exaclim.Pathway
+	srv     *exaclim.Server
+	handler http.Handler           // srv.Handler(), for the f32 format
+	ref     *exaclim.ArchiveReader // second reader: its own chunk cache and plan
+	grid    exaclim.Grid
+	area    []float64
+	model   *exaclim.Model
+	live    []exaclim.Pathway
 
 	mu     sync.Mutex
 	series map[[2]int][]exaclim.Field // (member, scenario) -> emulated live series
@@ -121,13 +125,14 @@ func newOracleEnv(t *testing.T) *oracleEnv {
 	// cache holds about half of one live series, so live answers come from
 	// resident entries, from a run's own output and from re-runs alike.
 	e.srv, err = exaclim.NewServer(open(), model, exaclim.ServeConfig{
-		CacheBytes: int64(16 * oracleLiveSteps / 2 * grid.Points() * 8), CacheShards: 16,
+		CacheBytes: int64(8 * oracleLiveSteps / 2 * grid.Points() * 8), CacheShards: 16,
 		LiveScenarios: 2, LivePathways: e.live,
 		LiveSteps: oracleLiveSteps, LiveT0: oracleLiveT0, BaseSeed: oracleBaseSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.handler = e.srv.Handler()
 	return e
 }
 
@@ -267,13 +272,28 @@ func (e *oracleEnv) check(ctx context.Context, rng *rand.Rand) error {
 		if err != nil {
 			return err
 		}
-		got, err := e.srv.FieldF32(ctx, member, scenario, t)
+		url := fmt.Sprintf("/v1/field?member=%d&scenario=%d&t=%d&format=f32", member, scenario, t)
+		rec := httptest.NewRecorder()
+		e.handler.ServeHTTP(rec, httptest.NewRequest("GET", url, nil).WithContext(ctx))
+		if rec.Code != http.StatusOK {
+			return fmt.Errorf("%s -> %d: %s", url, rec.Code, rec.Body.Bytes())
+		}
+		body := rec.Body.Bytes()
+		// The body is the float64 field narrowed value by value.
+		field, err := e.srv.Field(ctx, member, scenario, t)
 		if err != nil {
-			return fmt.Errorf("FieldF32(%d,%d,%d): %w", member, scenario, t, err)
+			return fmt.Errorf("Field(%d,%d,%d): %w", member, scenario, t, err)
+		}
+		if len(body) != 4*len(want) {
+			return fmt.Errorf("%s: %d bytes, want %d", url, len(body), 4*len(want))
 		}
 		for p := range want {
-			if d := math.Abs(float64(got[p]) - want[p]); !(d <= oracleTolF32*maxAbs(want)) {
-				return fmt.Errorf("FieldF32(%d,%d,%d) pixel %d: got %g, want %g", member, scenario, t, p, got[p], want[p])
+			bits := binary.LittleEndian.Uint32(body[4*p:])
+			if bits != math.Float32bits(float32(field[p])) {
+				return fmt.Errorf("%s pixel %d: got %g, want float32(Field) %g", url, p, math.Float32frombits(bits), float32(field[p]))
+			}
+			if d := math.Abs(float64(math.Float32frombits(bits)) - want[p]); !(d <= oracleTolF32*maxAbs(want)) {
+				return fmt.Errorf("%s pixel %d: got %g, want %g", url, p, math.Float32frombits(bits), want[p])
 			}
 		}
 	case 2: // point series
@@ -396,7 +416,7 @@ func TestServerDifferentialOracle(t *testing.T) {
 	}
 	wg.Wait()
 	st := e.srv.Stats()
-	if st.FieldLoads == 0 || st.LiveLoads == 0 || st.Evals.Misses == 0 || st.CacheF32.Misses == 0 {
+	if st.FieldLoads == 0 || st.LiveLoads == 0 || st.Evals.Misses == 0 || st.Cache.Misses == 0 {
 		t.Errorf("the draw missed a path: %+v", st)
 	}
 }
