@@ -684,18 +684,16 @@ func BenchmarkServe_FieldF32(b *testing.B) {
 
 // BenchmarkServe_PointBatch prices /v1/points against per-point queries
 // at L=64 over a full 32-step series. Every location is one weight row
-// of the step product (sht.Evaluator), so a batch saves the P-1 extra
-// cursor passes and runs its rows through the tiled kernel; it no longer
-// shares a Legendre fold between locations on the same ring. `scattered16`
-// is the shape the repo benchmark's `series` row sends (16 unrelated
-// locations; per 32-step request, `-cpu 1`, alternated with the parent
-// commit: 2.3-2.5 -> 1.85-1.9 ms against the retired fold-and-gather
-// evaluator); `grid64` is the 8 x 8 lat/lon grid this benchmark used to
-// run as `batch`, the case that design was built for — eight shared
-// rings made it 1.3-1.5 ms there, 64 rows cost 7-8 ms. The subs were
-// renamed with the evaluator so a cross-commit comparison cannot pair
-// them with the old numbers. `per-point16` is scattered16 as 16
-// PointSeries calls.
+// of the evaluator product (sht.Evaluator), so a batch saves the P-1
+// extra cursor passes and runs its rows through the tiled kernel, eight
+// decoded steps per product; it does not share a Legendre fold between
+// locations on the same ring. `scattered16` is the shape the repo
+// benchmark's `series` row sends (16 unrelated locations); `grid64` is
+// an 8 x 8 lat/lon grid (64 rows); `per-point16` is scattered16 as 16
+// PointSeries calls. Per 32-step request, `-cpu 1` on a 2-vCPU Xeon,
+// three runs alternated with the one-step-per-product parent commit:
+// scattered16 3.5-4.3 -> 1.9-2.5 ms, grid64 13.2-14.0 -> 5.9-8.4 ms,
+// per-point16 12.1-13.4 -> 5.4-8.5 ms.
 func BenchmarkServe_PointBatch(b *testing.B) {
 	var gridLats, gridLons []float64
 	for i := 0; i < 8; i++ {

@@ -242,7 +242,7 @@ func runServeSmoke(srv *exaclim.Server, path string, n, steps int) {
 
 	// Multi-step series probe: a two-point /v1/points query spanning
 	// several steps exercises the chunk-granular batch decode end to
-	// end (ReadPackedRange under the series endpoints), whatever path
+	// end (ReadPackedBlocks under the series endpoints), whatever path
 	// the -smoke flag asked for.
 	t1 := steps
 	if t1 > 12 {

@@ -68,16 +68,18 @@ var heavyNames = map[string]bool{
 	"readChunk": true, "loadChunk": true, "decodeStep": true, "decodeChunk": true,
 	"decodeHeader": true, "decodeIndex": true,
 	"ReadPacked": true, "ReadPackedF32": true, "ReadPackedInto": true, "ReadPackedRange": true,
+	"ReadPackedBlocks": true, "WithSeries": true,
 	"ReadField": true, "ReadFieldInto": true, "EachField": true,
 }
 
 // shtHeavy lists the sht entry points that cost O(L^2) or more a call:
 // the transforms in their method and packed forms, and the point
-// evaluators' construction and step.
+// evaluators' construction, step and block of steps.
 var shtHeavy = map[string]bool{
 	"Synthesize": true, "SynthesizeInto": true, "SynthesizeIntoF32": true, "SynthesizePacked": true,
 	"Analyze": true, "AnalyzeInto": true, "AnalyzePacked": true,
 	"NewPointEvaluator": true, "NewPointBatchEvaluator": true, "NewMeanEvaluator": true, "EvalPacked": true,
+	"EvalBlock": true,
 }
 
 // obsNames lists the observability helpers forbidden under a lock

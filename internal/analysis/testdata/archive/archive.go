@@ -77,6 +77,38 @@ func (r *Reader) badRange(s *Series, dst []float64) error {
 	})
 }
 
+func (s *Series) ReadPackedBlocks(t0, t1, k int, fn func(t int, block []float64, n int) error) error {
+	return nil
+}
+
+// WithSeries mirrors the borrow of a series' parked cursor.
+func (r *Reader) WithSeries(member, scenario int, fn func(*Series) error) error {
+	return fn(&Series{r: r})
+}
+
+// The block walk and the cursor borrow are range decodes too: under the
+// shard lock they hold it across every chunk of the range.
+func (r *Reader) badBlocks(s *Series) error {
+	sh := &r.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if err := s.ReadPackedBlocks(0, 8, 4, func(int, []float64, int) error { return nil }); err != nil { // want:lockedcall "ReadPackedBlocks"
+		return err
+	}
+	return r.WithSeries(0, 0, func(*Series) error { return nil }) // want:lockedcall "WithSeries"
+}
+
+// Borrowing the cursor after the unlock is the intended shape.
+func (r *Reader) goodBlocks() error {
+	sh := &r.shards[0]
+	sh.mu.Lock()
+	sh.chunk = -1
+	sh.mu.Unlock()
+	return r.WithSeries(0, 0, func(s *Series) error {
+		return s.ReadPackedBlocks(0, 8, 4, func(int, []float64, int) error { return nil })
+	})
+}
+
 // The range walk after the bookkeeping unlock is the intended shape:
 // the cursor does its own per-chunk shard locking internally.
 func (r *Reader) goodRange(s *Series, dst []float64) error {

@@ -86,6 +86,7 @@ func (h *handler) badEvaluators(thetas, phis []float64) {
 	defer h.mu.Unlock()
 	ev := sht.NewPointBatchEvaluator(8, thetas, phis) // want:lockedcall "NewPointBatchEvaluator .SHT transform."
 	h.data = ev.EvalPacked(h.data, h.data)            // want:lockedcall "EvalPacked .SHT transform."
+	h.data = ev.EvalBlock(h.data, h.data, 4)          // want:lockedcall "EvalBlock .SHT transform."
 	_ = sht.NewPointEvaluator(8, 0.5, 1.5)            // want:lockedcall "NewPointEvaluator .SHT transform."
 	_ = sht.NewMeanEvaluator(8, thetas, thetas, phis) // want:lockedcall "NewMeanEvaluator .SHT transform."
 }

@@ -31,3 +31,6 @@ func NewMeanEvaluator(L int, thetas, weights, phis []float64) *Evaluator { retur
 
 // EvalPacked stands in for the per-step weights x packed product.
 func (e *Evaluator) EvalPacked(dst, packed []float64) []float64 { return dst }
+
+// EvalBlock stands in for the block x weights^T product over many steps.
+func (e *Evaluator) EvalBlock(dst, block []float64, steps int) []float64 { return dst }

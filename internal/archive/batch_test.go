@@ -348,3 +348,65 @@ func TestReadPackedRangeConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestReadPackedBlocksMatchesReadPacked pins the block walk (its
+// one-step form is TestReadPackedRangeMatchesReadPacked's): for block
+// lengths from two steps to more than a chunk, every step of every block
+// is the per-step decode bit for bit, blocks arrive in order with the
+// documented layout, no block spans a chunk seam, and a block stops
+// short only at a chunk's end or the range's.
+func TestReadPackedBlocksMatchesReadPacked(t *testing.T) {
+	const L = 8
+	r, h, _ := openTestArchive(t, L, mixedBands(L))
+	want := make([][]float64, h.Steps)
+	for tt := range want {
+		var err error
+		if want[tt], err = r.ReadPacked(0, 1, tt, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dim := h.Dim()
+	for _, k := range []int{2, 3, 5} {
+		for _, rg := range [][2]int{{0, 7}, {1, 5}, {2, 4}, {4, 5}, {5, 7}} {
+			s, err := r.Series(0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := rg[0]
+			err = s.ReadPackedBlocks(rg[0], rg[1], k, func(t0 int, block []float64, n int) error {
+				if t0 != seen || n < 1 || n > k || len(block) != n*dim {
+					t.Fatalf("k=%d range %v: block at %d of %d steps (%d values), want it at %d", k, rg, t0, n, len(block), seen)
+				}
+				if last := t0 + n - 1; last/h.ChunkSteps != t0/h.ChunkSteps {
+					t.Fatalf("k=%d range %v: block [%d, %d] spans a chunk seam", k, rg, t0, last)
+				}
+				if end := t0 + n; n < k && end != rg[1] && end%h.ChunkSteps != 0 {
+					t.Fatalf("k=%d range %v: block [%d, %d) stops short mid-chunk", k, rg, t0, end)
+				}
+				for i := 0; i < n; i++ {
+					for j, v := range block[i*dim : (i+1)*dim] {
+						if math.Float64bits(v) != math.Float64bits(want[t0+i][j]) {
+							t.Fatalf("k=%d step %d coeff %d: block %x != per-step %x", k, t0+i, j,
+								math.Float64bits(v), math.Float64bits(want[t0+i][j]))
+						}
+					}
+				}
+				seen += n
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seen != rg[1] {
+				t.Fatalf("k=%d range %v: visited up to %d", k, rg, seen)
+			}
+		}
+	}
+	s, err := r.Series(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReadPackedBlocks(0, 2, 0, nil); err == nil {
+		t.Fatal("blocks of zero steps did not error")
+	}
+}

@@ -18,7 +18,7 @@ const (
 	// MetricChunkMisses counts ReadPacked calls that had to read a chunk.
 	MetricChunkMisses = "archive_chunk_misses"
 	// MetricChunkAmortized counts steps whose decode was amortized onto
-	// an already-loaded chunk by a batched ReadPackedRange call: each
+	// an already-loaded chunk by a batched ReadPackedBlocks walk: each
 	// chunk visited contributes its step count minus one. A series query
 	// that decodes 64 steps from one chunk reports 63.
 	MetricChunkAmortized = "archive_chunk_amortized"

@@ -22,11 +22,11 @@ import (
 // from petabytes of raw grids.
 //
 // A Reader is safe for concurrent use, and its read path takes no lock.
-// Per-step reads run on Series cursors, one parked per series (see
-// ReadPackedInto), so the chunk cache is the cursors' own. For replay
-// fan-out, open one Series cursor per goroutine: cursors own their
-// decode buffers and synthesis scratch and share nothing mutable with
-// the Reader or each other.
+// Per-step reads and series walks run on Series cursors, one parked per
+// series (see WithSeries), so the chunk cache is the cursors' own. For
+// replay fan-out, open one Series cursor per goroutine: cursors own
+// their decode buffers and synthesis scratch and share nothing mutable
+// with the Reader or each other.
 type Reader struct {
 	h     Header
 	r     io.ReaderAt
@@ -41,9 +41,9 @@ type Reader struct {
 	plan     *sht.Plan
 	planErr  error
 
-	// idle[sid] parks the cursor that last served a per-step read of
-	// series sid, with its most recently read chunk. A read takes it out
-	// (or opens a fresh one when another read holds it) and parks it
+	// idle[sid] parks the cursor that last served a read of series sid
+	// (WithSeries), with its most recently read chunk. A read takes it
+	// out (or opens a fresh one when another read holds it) and parks it
 	// again, so a cursor is only ever used by one goroutine at a time.
 	idle []atomic.Pointer[Series]
 
@@ -216,22 +216,40 @@ func (r *Reader) ReadPackedF32(member, scenario, t int, dst []float32) ([]float3
 
 // ReadPackedInto is ReadPacked at either width (methods cannot be
 // generic), for callers generic over it themselves. It runs on the
-// series' parked cursor: Swap takes it (a concurrent read of the same
-// series finds none and opens its own, so racing reads never wait on
-// each other), the step decodes straight from the cursor's chunk buffer,
-// and the cursor is parked again — the last read to park wins.
+// series' parked cursor (WithSeries) and decodes the step straight from
+// the cursor's chunk buffer.
 func ReadPackedInto[E sht.Real](r *Reader, member, scenario, t int, dst []E) ([]E, error) {
 	if err := r.h.checkCoord(member, scenario, t); err != nil {
 		return nil, err
+	}
+	err := r.WithSeries(member, scenario, func(cur *Series) error {
+		var err error
+		dst, err = readStep(cur, t, dst)
+		return err
+	})
+	return dst, err
+}
+
+// WithSeries runs fn on the parked cursor of (member, scenario), so its
+// chunk buffer and block scratch serve read after read. Swap takes the
+// cursor out (a concurrent caller on the same series finds none and
+// opens its own, so racing reads never wait on each other); afterwards
+// the cursor's observer is cleared and the cursor is parked again — the
+// last caller to park wins. fn must not retain the cursor. A failed read
+// leaves the cursor without a resident chunk, so the next one re-reads.
+func (r *Reader) WithSeries(member, scenario int, fn func(*Series) error) error {
+	if err := r.h.checkCoord(member, scenario, 0); err != nil {
+		return err
 	}
 	idle := &r.idle[r.h.seriesID(member, scenario)]
 	cur := idle.Swap(nil)
 	if cur == nil {
 		cur = r.series(member, scenario)
 	}
-	dst, err := readStep(cur, t, dst)
+	err := fn(cur)
+	cur.sink = nil
 	idle.Store(cur)
-	return dst, err
+	return err
 }
 
 // ReadField reconstructs the field of step t of (member, scenario) by
@@ -309,9 +327,9 @@ type Series struct {
 	t0    int
 	buf   []byte
 
-	plan     *sht.Plan // lazily built; sequential unless overridden
-	packed   []float64
-	rangeBuf []float64 // ReadPackedRange's yielded vector (cursor-owned)
+	plan   *sht.Plan // lazily built; sequential unless overridden
+	packed []float64
+	block  []float64 // ReadPackedBlocks' yielded steps (cursor-owned)
 
 	sink obs.Sink // optional per-cursor sink; see Series.SetObserver
 }

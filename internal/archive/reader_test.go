@@ -234,3 +234,93 @@ func TestReaderConcurrentAccess(t *testing.T) {
 		}
 	}
 }
+
+// TestWithSeriesParksUnobservedCursor pins the parked cursor's hygiene:
+// an observer a borrower installs is removed before the cursor is parked,
+// so the next borrower's reads reach only the reader's sink, and the
+// cursor parked is the one borrowed, chunk buffer included.
+func TestWithSeriesParksUnobservedCursor(t *testing.T) {
+	r, h, data := openTestArchive(t, 8, UniformBands(8, tile.FP64))
+	sink := &countingSink{m: map[string]int64{}}
+	var borrowed *Series
+	err := r.WithSeries(1, 0, func(cur *Series) error {
+		borrowed = cur
+		cur.SetObserver(sink)
+		return cur.ReadPackedRange(0, h.Steps, func(int, []float64) error { return nil })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sink.get(MetricStepDecodes)
+	if before != int64(h.Steps) {
+		t.Fatalf("borrower's sink saw %d decodes, want %d", before, h.Steps)
+	}
+	parked := r.idle[h.seriesID(1, 0)].Load()
+	if parked != borrowed || parked.sink != nil {
+		t.Fatalf("parked cursor %p (observer %v), want the borrowed %p with no observer", parked, parked.sink, borrowed)
+	}
+	got, err := r.ReadPacked(1, 0, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != data[0][1][2][i] {
+			t.Fatalf("coeff %d: %g, want %g", i, v, data[0][1][2][i])
+		}
+	}
+	if got := sink.get(MetricStepDecodes); got != before {
+		t.Fatalf("a later read reported %d decodes to the earlier borrower's sink", got-before)
+	}
+	if err := r.WithSeries(h.Members, 0, func(*Series) error { return nil }); err == nil {
+		t.Fatal("out-of-range member did not error")
+	}
+}
+
+// TestWithSeriesFailedReadDoesNotPoisonCursor is the series-path twin of
+// TestFailedReadDoesNotPoisonCache: a chunk read that fails its CRC
+// inside WithSeries clobbers the parked cursor's buffer, and the cursor
+// parked afterwards must re-read rather than decode the corrupt bytes
+// under the old chunk's key.
+func TestWithSeriesFailedReadDoesNotPoisonCursor(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	h := testHeader(8, UniformBands(8, tile.FP64))
+	data := campaignData(rng, h, 10, 1.2)
+	enc := writeArchive(t, h, data)
+	r, err := NewReader(bytes.NewReader(enc), int64(len(enc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := r.index[r.h.seriesID(0, 1)][1]
+	enc[ref.off+int64(chunkHeaderLen)+3] ^= 0xff // chunk 1 of (member 0, scenario 1)
+	walk := func(t0, t1 int) ([][]float64, error) {
+		var got [][]float64
+		err := r.WithSeries(0, 1, func(cur *Series) error {
+			return cur.ReadPackedBlocks(t0, t1, 2, func(_ int, block []float64, n int) error {
+				for i := 0; i < n; i++ {
+					got = append(got, append([]float64(nil), block[i*h.Dim():(i+1)*h.Dim()]...))
+				}
+				return nil
+			})
+		})
+		return got, err
+	}
+	if _, err := walk(0, h.ChunkSteps); err != nil { // chunk 0 resident
+		t.Fatal(err)
+	}
+	if got, err := walk(1, h.Steps); err == nil {
+		t.Fatal("expected a CRC error walking into the corrupted chunk")
+	} else if len(got) != h.ChunkSteps-1 {
+		t.Fatalf("walk saw %d steps before the corrupt chunk, want %d", len(got), h.ChunkSteps-1)
+	}
+	got, err := walk(0, h.ChunkSteps)
+	if err != nil {
+		t.Fatalf("walk of the intact chunk after a failed read: %v", err)
+	}
+	for tt, packed := range got {
+		for i, v := range packed {
+			if v != data[1][0][tt][i] {
+				t.Fatalf("parked cursor poisoned by failed read: step %d coeff %d = %g, want %g", tt, i, v, data[1][0][tt][i])
+			}
+		}
+	}
+}

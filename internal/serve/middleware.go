@@ -36,6 +36,11 @@ type requestInfo struct {
 	// same reason cache is: a timed-out request's load may still be
 	// adding stage time while the middleware reads the totals.
 	stages [numStages]atomic.Int64
+
+	// cursor collects the archive events of a traced request's series
+	// walk (attachCursorStats) for its decode span. Only the goroutine
+	// driving the walk touches it.
+	cursor cursorStats
 }
 
 // requestInfoKey is the context key for *requestInfo.

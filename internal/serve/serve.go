@@ -10,11 +10,12 @@
 // Two mechanisms carry the load:
 //
 //   - Point-wise spectral evaluation. A point or box query never
-//     materializes a full grid: the packed coefficient vector of each
-//     step is decoded through an independent archive.Series cursor and
-//     multiplied by the query's sht.Evaluator weight rows — one row per
-//     location, one row for a whole box mean — at O(L^2) per row, orders
-//     of magnitude cheaper than full synthesis for L >= 64.
+//     materializes a full grid: the packed coefficient vectors of the
+//     series are decoded in blocks of steps on the series' parked
+//     archive.Series cursor and each block is multiplied by the query's
+//     sht.Evaluator weight rows — one row per location, one row for a
+//     whole box mean — at O(L^2) per row and step, orders of magnitude
+//     cheaper than full synthesis for L >= 64.
 //
 //   - A sharded LRU field cache with single-flight coalescing. N
 //     concurrent requests for the same field trigger exactly one
@@ -521,15 +522,27 @@ type seriesQuery struct {
 // block costs about 2 % of a block's evaluation.
 const evalBlockRows = 256
 
+// evalSteps is how many archived steps one evaluator product takes (a
+// ReadPackedBlocks block). The tile pairs steps, so a lone step runs its
+// rows twice and streams the weights once for one step. At L = 64 with
+// 16 rows (2-vCPU Xeon, -cpu 1) a step costs 55-64 us alone, 42-46 in
+// pairs and reaches the plateau, 29-42 depending on the host's load, from
+// four steps on; one row falls from 6.3-6.7 us a step (a dot) to 5.0-5.2.
+// Eight keeps the chunk-clipped tail blocks of a range on the plateau,
+// the block (256 KiB at L = 64) in L2 between its decode and its product,
+// and a cancelled request to at most eight decodes past its last check.
+const evalSteps = 8
+
 // series is the one loop under PointSeries, PointsSeries and BoxSeries:
 // out[p][i] is functional p of step t0+i of (member, scenario). A live
 // scenario is one emulation run (liveRange) sampled on the grid; an
-// archived one streams packed steps through an independent series cursor
-// — chunk-granular, so chunk lookups and metric events amortize across
-// the range — and multiplies each by the query's weight rows. ctx
-// cancellation is observed between steps, so an abandoned long series
-// stops promptly instead of decoding to the end. The span returned is the
-// aggregate eval span of a traced archived query (else nil), for the
+// archived one walks the series on its parked cursor (Reader.WithSeries)
+// in blocks of evalSteps decoded steps — chunk-granular, so chunk
+// lookups and metric events amortize across the range — and multiplies
+// each block by the query's weight rows in one product. ctx cancellation
+// is observed between blocks, so an abandoned long series stops within
+// evalSteps decodes instead of decoding to the end. The span returned is
+// the aggregate eval span of a traced archived query (else nil), for the
 // front-end's own attributes.
 func (s *Server) series(ctx context.Context, member, scenario, t0, t1 int, q seriesQuery) ([][]float64, *trace.Span, error) {
 	s.requests.Add(1)
@@ -550,41 +563,48 @@ func (s *Server) series(ctx context.Context, member, scenario, t0, t1 int, q ser
 		}
 		return out, nil, nil
 	}
-	// A loop, so no span per step: each iteration's time is split into
+	// A loop, so no span per block: each iteration's time is split into
 	// decode vs eval with a loopClock and reported as one aggregate span
 	// per stage.
 	clk := newLoopClock(ctx)
 	loopStart := time.Now()
 	var decodeD, evalD time.Duration
-	cur, err := s.r.Series(member, scenario)
-	if err != nil {
-		return nil, nil, err
-	}
-	cs := attachCursorStats(ctx, cur)
+	var cs *cursorStats
 	var vals []float64
-	for lo := 0; lo < q.n; lo += evalBlockRows {
-		clk.tick()
-		ev := q.rows(lo, min(lo+evalBlockRows, q.n))
-		clk.tock(&evalD)
-		clk.tick()
-		err = cur.ReadPackedRange(t0, t1, func(t int, packed []float64) error {
-			clk.tock(&decodeD)
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+	err := s.r.WithSeries(member, scenario, func(cur *archive.Series) error {
+		cs = attachCursorStats(ctx, cur)
+		for lo := 0; lo < q.n; lo += evalBlockRows {
 			clk.tick()
-			vals = ev.EvalPacked(vals, packed)
-			for p, v := range vals {
-				out[lo+p][t-t0] = v
-			}
+			ev := q.rows(lo, min(lo+evalBlockRows, q.n))
+			rows := ev.Rows()
 			clk.tock(&evalD)
 			clk.tick()
-			return nil
-		})
-		clk.tock(&decodeD)
-		if err != nil {
-			return nil, nil, err
+			err := cur.ReadPackedBlocks(t0, t1, evalSteps, func(t int, block []float64, n int) error {
+				clk.tock(&decodeD)
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				clk.tick()
+				vals = ev.EvalBlock(vals, block, n)
+				for p := 0; p < rows; p++ {
+					o := out[lo+p][t-t0 : t-t0+n]
+					for i := range o {
+						o[i] = vals[i*rows+p]
+					}
+				}
+				clk.tock(&evalD)
+				clk.tick()
+				return nil
+			})
+			clk.tock(&decodeD)
+			if err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	steps := int64((q.n+evalBlockRows-1)/evalBlockRows) * int64(t1-t0) // one walk per block
 	cs.annotate(recordStage(ctx, stageDecode, loopStart, decodeD, steps))
@@ -619,17 +639,17 @@ func (s *Server) PointSeries(ctx context.Context, member, scenario int, lat, lon
 	return out[0], nil
 }
 
-// attachCursorStats hooks a per-request sink onto a series cursor so
-// the decode span can carry chunk/IO attribution; nil (and no hook)
-// outside an instrumented request, keeping the bare path allocation
-// free.
+// attachCursorStats hooks the request's cursorStats onto a series
+// cursor so the decode span can carry chunk/IO attribution; nil (and no
+// hook) outside a traced request, where no span would carry it.
+// WithSeries unhooks it before it parks the cursor.
 func attachCursorStats(ctx context.Context, cur *archive.Series) *cursorStats {
-	if stageInfo(ctx) == nil {
+	info := stageInfo(ctx)
+	if currentSpan(ctx, info) == nil {
 		return nil
 	}
-	cs := &cursorStats{}
-	cur.SetObserver(cs)
-	return cs
+	cur.SetObserver(&info.cursor)
+	return &info.cursor
 }
 
 // hitMiss renders a cache outcome as a span attribute value.

@@ -36,7 +36,7 @@ const (
 	// stageSynthesis is spectral synthesis onto the serving grid.
 	stageSynthesis
 	// stageEval is point-wise spectral evaluation (evaluator build +
-	// per-step EvalPacked).
+	// one EvalBlock product per block of decoded steps).
 	stageEval
 	// stageEmulate is on-demand live VAR emulation.
 	stageEmulate
@@ -199,7 +199,8 @@ func (c *loopClock) tock(acc *time.Duration) {
 
 // cursorStats is the per-request obs.Sink a series cursor reports into,
 // so the request's decode span can carry chunk and I/O attribution. A
-// cursor is single-goroutine by contract, so plain fields suffice.
+// cursor is single-goroutine by contract and is unhooked before another
+// request can borrow it, so plain fields suffice.
 type cursorStats struct {
 	decodes, readBytes, chunkHits, chunkMisses int64
 	chunkAmortized                             int64

@@ -1,11 +1,13 @@
 package sht
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"exaclim/internal/linalg"
 	"exaclim/internal/sphere"
 )
 
@@ -198,4 +200,94 @@ func TestEvaluatorConcurrentUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestEvalBlockMatchesEvalPacked pins the step-blocked product: every
+// value of EvalBlock over a block of steps is bit-identical to that
+// step's own EvalPacked and to a plain ascending dot of its weight row,
+// for row counts that fill and leave ragged the tile's two-by-four
+// shape (one row runs the swapped product plus a dot tail) and for
+// block lengths up to and past the serving layer's eight. A NaN or Inf
+// in one step reaches only that step's values.
+func TestEvalBlockMatchesEvalPacked(t *testing.T) {
+	const L = 9
+	k := PackDim(L)
+	rng := rand.New(rand.NewSource(38))
+	for _, rows := range []int{1, 2, 3, 5, 16, 17} {
+		thetas, phis := make([]float64, rows), make([]float64, rows)
+		for p := range thetas {
+			thetas[p], phis[p] = math.Pi*rng.Float64(), 2*math.Pi*rng.Float64()
+		}
+		e := NewPointBatchEvaluator(L, thetas, phis)
+		for _, steps := range []int{1, 2, 3, 7, 8, 9} {
+			block := make([]float64, steps*k)
+			for i := range block {
+				block[i] = rng.NormFloat64()
+			}
+			check := func(label string, poisoned int) {
+				t.Helper()
+				got := e.EvalBlock(nil, block, steps)
+				if len(got) != steps*rows {
+					t.Fatalf("rows=%d steps=%d: %d values, want %d", rows, steps, len(got), steps*rows)
+				}
+				for i := 0; i < steps; i++ {
+					step := block[i*k : (i+1)*k]
+					alone := e.EvalPacked(nil, step)
+					for p := 0; p < rows; p++ {
+						v := got[i*rows+p]
+						if i == poisoned {
+							if !math.IsNaN(v) && !math.IsInf(v, 0) {
+								t.Fatalf("%s rows=%d steps=%d: poisoned step %d row %d is finite (%g)", label, rows, steps, i, p, v)
+							}
+							continue
+						}
+						dot := linalg.Dot(e.w[p*k:(p+1)*k], step)
+						if math.Float64bits(v) != math.Float64bits(alone[p]) || math.Float64bits(v) != math.Float64bits(dot) {
+							t.Fatalf("%s rows=%d steps=%d step %d row %d: block %x, EvalPacked %x, dot %x",
+								label, rows, steps, i, p, math.Float64bits(v), math.Float64bits(alone[p]), math.Float64bits(dot))
+						}
+					}
+				}
+			}
+			check("clean", -1)
+			bad := rng.Intn(steps)
+			block[bad*k+rng.Intn(k)] = math.NaN()
+			check("NaN", bad)
+			block[bad*k+rng.Intn(k)] = math.Inf(1)
+			check("NaN+Inf", bad)
+			clear(block[bad*k : (bad+1)*k])
+			block[bad*k+rng.Intn(k)] = math.Inf(-1)
+			check("Inf", bad)
+		}
+	}
+}
+
+// BenchmarkSHT_EvalBlock prices one evaluator product at L=64 per step,
+// for one row (a point or a box mean), the 16 scattered locations of a
+// /v1/points request and an 8 x 8 grid, one step at a time against the
+// serving layer's blocks of eight.
+func BenchmarkSHT_EvalBlock(b *testing.B) {
+	const L = 64
+	k := PackDim(L)
+	rng := rand.New(rand.NewSource(39))
+	for _, rows := range []int{1, 16, 64} {
+		thetas, phis := make([]float64, rows), make([]float64, rows)
+		for p := range thetas {
+			thetas[p], phis[p] = math.Pi*rng.Float64(), 2*math.Pi*rng.Float64()
+		}
+		e := NewPointBatchEvaluator(L, thetas, phis)
+		for _, steps := range []int{1, 8} {
+			block := make([]float64, steps*k)
+			for i := range block {
+				block[i] = rng.NormFloat64()
+			}
+			dst := make([]float64, steps*rows)
+			b.Run(fmt.Sprintf("rows%d/steps%d", rows, steps), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					dst = e.EvalBlock(dst, block, steps)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*steps), "us/step")
+			})
+		}
+	}
 }
