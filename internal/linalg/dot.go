@@ -1,18 +1,34 @@
 package linalg
 
-import "exaclim/internal/par"
+import (
+	"sync"
+
+	"exaclim/internal/par"
+)
 
 // The package's dense products — Gemm in all four transpose cases, both
 // forms of Syrk (and through it Potrf's trailing update) and LowerMulMat —
-// are one loop: dot2x4, a 2 x 4 register tile over two operands that are
-// both contiguous along the summed index. Whichever operand is stored the
-// other way round is packed into a transposed copy first (packTranspose,
-// O(mk + nk) against the product's O(mnk)).
+// run one blocked loop over one of two leaves:
+//
+//   - dot2x8 (amd64 assembly, float64, AVX): two rows of A against a panel
+//     of eight rows of B, four lanes per instruction. B is packed into
+//     panels first (packPanels, O(nk) against the product's O(mnk)).
+//   - dot2x4 (Go, any element type): two rows of A against four rows of B,
+//     eight scalar accumulators. Float32, CPUs without AVX, other GOARCHes
+//     and products of fewer than panelRows rows run it.
+//
+// Both leaves read A as it is stored: a row pair's k-block is read in
+// place or, where it is strided, gathered into a scratch pair. B is packed
+// once per product: into panels for dot2x8 (packPanels), from either
+// layout; for dot2x4, which reads B contiguous along the summed index,
+// into a transposed copy (packTranspose) when it is stored the other way
+// round.
 //
 // Every output element owns exactly one accumulator, which takes its
-// products in ascending summed index, so a result does not depend on the
-// tile shape, the blocking constants or the worker count: it is
-// bit-identical to the plain three-loop product.
+// products in ascending summed index, each rounded before it is added
+// (the assembly multiplies and adds; it never fuses the two), so a result
+// does not depend on the leaf, the tile shape, the blocking constants or
+// the worker count: it is bit-identical to the plain three-loop product.
 
 const (
 	// dotKC is the summed-index block. Between blocks the accumulators
@@ -21,7 +37,38 @@ const (
 	// dotNC is the block of B rows one pass of dotRows works through:
 	// with a 64-row block of A, dotKC*(64+dotNC) elements stay in L2.
 	dotNC = 64
+	// panelRows is the fewest rows of A a product needs to run on the
+	// panel leaf. Packing B costs O(nk), the product O(mnk), and dot2x4
+	// takes A's rows in pairs, so the break-even lies between one row pair
+	// and two. Gemm(NoTrans, Transpose) at k = 4096 against 8, 16 and 64
+	// rows of B (2-vCPU Xeon, -cpu 1): two rows of A take 21, 43 and
+	// 177-193 us on dot2x4 and 24, 48 and 257-266 us packed; three take
+	// 42, 83-100 and 388-475 us on dot2x4 and 29, 59-66 and 328-376 us
+	// packed.
+	panelRows = 3
 )
+
+// usePanel selects dot2x8 for float64 products of panelRows rows or more.
+// It is the CPU's answer (panelSupported); tests switch it off to run the
+// dot2x4 path on the same inputs.
+var usePanel = panelSupported
+
+// panelLeaf reports whether a product whose A has rows rows runs on
+// dot2x8: T is float64, the CPU has AVX and rows reaches panelRows.
+func panelLeaf[T Float](rows int) bool {
+	var zero T
+	_, f64 := any(zero).(float64)
+	return f64 && usePanel && rows >= panelRows
+}
+
+// panelTile runs dot2x8 on a generic caller's operands, which are float64
+// wherever panelLeaf let it be reached. It slices a1 and pb to the lengths
+// the assembly reads, so a short operand panics here.
+func panelTile[T Float](a0, a1, pb []T, acc *[16]T) {
+	k := len(a0)
+	a1, pb = a1[:k], pb[:8*k]
+	dot2x8(any(a0).([]float64), any(a1).([]float64), any(pb).([]float64), any(acc).(*[16]float64))
+}
 
 // dot2x4 adds the 2 x 4 tile of dot products to acc:
 //
@@ -54,19 +101,50 @@ func dot2x4[T Float](a0, a1, b0, b1, b2, b3 []T, acc *[8]T) {
 	acc[4], acc[5], acc[6], acc[7] = c10, c11, c12, c13
 }
 
+// product is the body of Gemm and Syrk: it updates the m x n matrix C
+// with beta and the product op(A) op(B), in Gemm's conventions for a, lda,
+// tA, b, ldb and tB (Syrk passes its A twice, with tB = !tA). lower and
+// sumFirst are dotRows'. It picks the leaf from the shape (panelLeaf) and
+// packs B for it: into panels for dot2x8, contiguous along k for dot2x4.
+// A is read as it is stored. Then it sweeps 64-row blocks of C in
+// parallel.
+func product[T Float](m, n, k int, alpha T, a []T, lda int, tA Trans, b []T, ldb int, tB Trans, beta T, c []T, ldc int, lower, sumFirst bool) {
+	panel := panelLeaf[T](m)
+	if panel {
+		buf := packPool.Get().(*[]float64)
+		defer putPack(buf)
+		b = packPanels(any(buf).(*[]T), b, ldb, tB, n, k)
+	} else if tB == NoTrans {
+		b, ldb = packTranspose(b, ldb, k, n), k
+	}
+	par.ForBlocks(0, m, blockSize, func(lo, hi int) {
+		scaleRows(beta, c, ldc, lo, hi, n, lower)
+		dotRows(lo, hi, n, k, alpha, a, lda, tA, b, ldb, c, ldc, lower, sumFirst, panel)
+	})
+}
+
 // dotRows updates rows [lo, hi) of the m x n matrix C with the product of
-// A (m x k) and B (n x k), both row-major and contiguous along k:
+// A (m x k, or stored k x m with tA == Transpose) and B (n x k), row-major,
+// B contiguous along k:
 //
 //	C[i][j] += sum_p (alpha*A[i][p]) * B[j][p]
 //
 // added product by product onto C[i][j] in ascending p. With sumFirst the
 // sum is instead formed from zero and added once, C[i][j] += alpha*sum,
 // the order of the retired Syrk(NoTrans) loop. With lower only j <= i is
-// read or written. The loops are blocked over j and k so a panel of each
-// operand stays cached while the tiles sweep it.
-func dotRows[T Float](lo, hi, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int, lower, sumFirst bool) {
+// read or written. With panel, b holds B in packPanels' layout (ldb is
+// not read) and the tiles are dot2x8's; otherwise they are dot2x4's. The
+// loops are blocked over j and k so a panel of each operand stays cached
+// while the tiles sweep it.
+func dotRows[T Float](lo, hi, n, k int, alpha T, a []T, lda int, tA Trans, b []T, ldb int, c []T, ldc int, lower, sumFirst, panel bool) {
 	if lower {
 		n = min(n, hi)
+	}
+	// w is the tile's width: the B rows one tile takes, and where the
+	// second A row's sums start in acc.
+	w := 4
+	if panel {
+		w = 8
 	}
 	// t is where tiles accumulate: C itself, or a block of partial sums
 	// whose element (i, j) sits at sums[(i-lo)*dotNC+j-j0].
@@ -76,9 +154,16 @@ func dotRows[T Float](lo, hi, n, k int, alpha T, a []T, lda int, b []T, ldb int,
 		sums = make([]T, (hi-lo)*dotNC)
 		t, ldt = sums, dotNC
 	}
-	// The tile multiplies a*b; where the product is (alpha*a)*b, a row
-	// pair's k-block is scaled into here once and reused across its tiles.
+	// The tile multiplies a*b; where the product is (alpha*a)*b, or A is
+	// stored the other way round, a row pair's k-block is gathered (and
+	// scaled) into here once and reused across its tiles. A's element
+	// (i, p) is a[i*ars+p*acs].
 	var scaled [2][dotKC]T
+	scale := !sumFirst && alpha != 1
+	ars, acs := lda, 1
+	if tA == Transpose {
+		ars, acs = 1, lda
+	}
 	for j0 := 0; j0 < n; j0 += dotNC {
 		j1 := min(j0+dotNC, n)
 		toff := 0
@@ -99,40 +184,47 @@ func dotRows[T Float](lo, hi, n, k int, alpha T, a []T, lda int, b []T, ldb int,
 					lim1, i1 = 0, i
 				}
 				jEnd := max(lim0, lim1)
-				a0 := a[i*lda+p0 : i*lda+p1]
-				a1 := a[i1*lda+p0 : i1*lda+p1]
-				if !sumFirst && alpha != 1 {
-					for p, v := range a0 {
-						scaled[0][p] = alpha * v
-					}
-					for p, v := range a1 {
-						scaled[1][p] = alpha * v
-					}
+				var a0, a1 []T
+				if tA == NoTrans && !scale {
+					a0, a1 = a[i*lda+p0:i*lda+p1], a[i1*lda+p0:i1*lda+p1]
+				} else {
 					a0, a1 = scaled[0][:p1-p0], scaled[1][:p1-p0]
+					for p := range a0 {
+						v0, v1 := a[i*ars+(p0+p)*acs], a[i1*ars+(p0+p)*acs]
+						if scale {
+							v0, v1 = alpha*v0, alpha*v1
+						}
+						a0[p], a1[p] = v0, v1
+					}
 				}
-				for j := j0; j < jEnd; j += 4 {
-					w0 := min(4, max(0, lim0-j))
-					w1 := min(4, max(0, lim1-j))
-					// Rows past the tile's last column repeat row j.
-					b0 := b[j*ldb+p0 : j*ldb+p1]
-					b1, b2, b3 := b0, b0, b0
-					if j+1 < jEnd {
-						b1 = b[(j+1)*ldb+p0 : (j+1)*ldb+p1]
-					}
-					if j+2 < jEnd {
-						b2 = b[(j+2)*ldb+p0 : (j+2)*ldb+p1]
-					}
-					if j+3 < jEnd {
-						b3 = b[(j+3)*ldb+p0 : (j+3)*ldb+p1]
-					}
+				for j := j0; j < jEnd; j += w {
+					w0 := min(w, max(0, lim0-j))
+					w1 := min(w, max(0, lim1-j))
 					t0 := t[i*ldt+j-toff:]
 					t1 := t[i1*ldt+j-toff:]
-					var acc [8]T
-					copy(acc[:4], t0[:w0])
-					copy(acc[4:], t1[:w1])
-					dot2x4(a0, a1, b0, b1, b2, b3, &acc)
-					copy(t0[:w0], acc[:4])
-					copy(t1[:w1], acc[4:])
+					var acc [16]T
+					copy(acc[:w], t0[:w0])
+					copy(acc[w:], t1[:w1])
+					if panel {
+						// The panel of rows j..j+7 starts at j*k.
+						panelTile(a0, a1, b[j*k+8*p0:j*k+8*p1], &acc)
+					} else {
+						// Rows past the tile's last column repeat row j.
+						b0 := b[j*ldb+p0 : j*ldb+p1]
+						b1, b2, b3 := b0, b0, b0
+						if j+1 < jEnd {
+							b1 = b[(j+1)*ldb+p0 : (j+1)*ldb+p1]
+						}
+						if j+2 < jEnd {
+							b2 = b[(j+2)*ldb+p0 : (j+2)*ldb+p1]
+						}
+						if j+3 < jEnd {
+							b3 = b[(j+3)*ldb+p0 : (j+3)*ldb+p1]
+						}
+						dot2x4(a0, a1, b0, b1, b2, b3, (*[8]T)(acc[:8]))
+					}
+					copy(t0[:w0], acc[:w])
+					copy(t1[:w1], acc[w:])
 				}
 			}
 		}
@@ -149,6 +241,76 @@ func dotRows[T Float](lo, hi, n, k int, alpha T, a []T, lda int, b []T, ldb int,
 			}
 		}
 	}
+}
+
+// packPool keeps the packed operands of the float64 products between
+// calls: B's panels, and LowerMulMat's right-hand side in either leaf's
+// layout. A generation step, an mpchol tile update or a served block of
+// steps would otherwise allocate one per call.
+var packPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// maxPooledPack is the largest buffer (in float64s) putPack returns to
+// packPool: a 256-row block of evaluator weights at L = 64. A larger one,
+// such as eq. 9's 12 MB covariance pack at L = 32, comes from a product
+// run once per training; pooled, it stayed resident for the rest of the
+// process, one per concurrent caller.
+const maxPooledPack = 1 << 20
+
+// putPack returns buf to packPool unless it outgrew maxPooledPack.
+func putPack(buf *[]float64) {
+	if cap(*buf) <= maxPooledPack {
+		packPool.Put(buf)
+	}
+}
+
+// packPanels writes the n x k operand B into *dst (grown as needed) as
+// panels of eight rows interleaved along k, and returns the packed slice:
+// element p of row j lands at (j/8)*8k + 8p + j%8. Row j of B is
+// b[j*ldb : j*ldb+k] with tB == Transpose; with NoTrans B is stored k x n
+// and row j is column j. The lanes a last panel has no row for hold zeros
+// (NoTrans) or repeat its last row (Transpose); no sum of theirs is kept.
+// An 8-column NoTrans B with ldb == 8 already is its one panel and is
+// returned as it is.
+func packPanels[T Float](dst *[]T, b []T, ldb int, tB Trans, n, k int) []T {
+	if tB == NoTrans && n == 8 && ldb == 8 {
+		return b[:8*k]
+	}
+	np := (n + 7) / 8
+	if cap(*dst) < np*8*k {
+		*dst = make([]T, np*8*k)
+	}
+	out := (*dst)[:np*8*k]
+	// Eight panels (64 rows of B) per worker block.
+	par.ForBlocks(0, np, 8, func(lo, hi int) {
+		for q := lo; q < hi; q++ {
+			pq := out[q*8*k : (q+1)*8*k]
+			j := 8 * q
+			w := min(8, n-j)
+			if tB == NoTrans {
+				if w < 8 {
+					clear(pq)
+				}
+				for p := 0; p < k; p++ {
+					copy(pq[8*p:8*p+w], b[p*ldb+j:p*ldb+j+w])
+				}
+				continue
+			}
+			// Eight rows read side by side, the panel written in order.
+			var r [8][]T
+			for s := range r {
+				js := j + min(s, w-1)
+				r[s] = b[js*ldb : js*ldb+k]
+			}
+			r0, r1, r2, r3 := r[0][:k], r[1][:k], r[2][:k], r[3][:k]
+			r4, r5, r6, r7 := r[4][:k], r[5][:k], r[6][:k], r[7][:k]
+			for p := range r0 {
+				d := pq[8*p : 8*p+8 : 8*p+8]
+				d[0], d[1], d[2], d[3] = r0[p], r1[p], r2[p], r3[p]
+				d[4], d[5], d[6], d[7] = r4[p], r5[p], r6[p], r7[p]
+			}
+		}
+	})
+	return out
 }
 
 // scaleRows applies C = beta*C to columns [0, n) of rows [lo, hi), or to

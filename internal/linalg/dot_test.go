@@ -202,10 +202,12 @@ func testGemmBitIdentical[T Float](t *testing.T) {
 }
 
 // TestGemmBitIdenticalToRetiredLoop pins Gemm, in all four transpose
-// cases and both element types, to the axpy loops it used to run.
+// cases and both element types, on whichever leaf the host picks and on
+// dot2x4, to the axpy loops it used to run.
 func TestGemmBitIdenticalToRetiredLoop(t *testing.T) {
 	t.Run("float64", testGemmBitIdentical[float64])
 	t.Run("float32", testGemmBitIdentical[float32])
+	onDot2x4(t, func(t *testing.T) { t.Run("float64", testGemmBitIdentical[float64]) })
 }
 
 func testSyrkBitIdentical[T Float](t *testing.T) {
@@ -256,10 +258,12 @@ func testSyrkBitIdentical[T Float](t *testing.T) {
 
 // TestSyrkBitIdenticalToRetiredLoop pins both forms of Syrk, and the
 // trailing update Potrf now makes through it, to their retired loops, and
-// checks the strict upper triangle of C is neither read nor written.
+// checks the strict upper triangle of C is neither read nor written, on
+// whichever leaf the host picks and on dot2x4.
 func TestSyrkBitIdenticalToRetiredLoop(t *testing.T) {
 	t.Run("float64", testSyrkBitIdentical[float64])
 	t.Run("float32", testSyrkBitIdentical[float32])
+	onDot2x4(t, func(t *testing.T) { t.Run("float64", testSyrkBitIdentical[float64]) })
 }
 
 func digest(x []float64) string {
@@ -290,37 +294,57 @@ func TestPotrfDigestAcrossCommits(t *testing.T) {
 // TestDenseProductsPropagateNonFinite: a NaN in one operand opposite an
 // exact zero in the other must reach C (0*NaN is NaN). The retired loops
 // skipped products with a zero factor, which hid it from Potrf's pivot
-// check.
+// check. Shapes of 1, 2 and 8 rows reach both leaves, and the fallback
+// runs again with the panel leaf off.
 func TestDenseProductsPropagateNonFinite(t *testing.T) {
+	testPropagateNonFinite(t)
+	onDot2x4(t, testPropagateNonFinite)
+}
+
+func testPropagateNonFinite(t *testing.T) {
 	nan := math.NaN()
-	zero := []float64{0, 0, 0, 0} // 2 x 2
-	bad := []float64{nan, 1, 1, 1}
-	for _, tA := range []Trans{NoTrans, Transpose} {
-		for _, tB := range []Trans{NoTrans, Transpose} {
-			c := make([]float64, 4)
-			Gemm(tA, tB, 2, 2, 2, 1.0, zero, 2, bad, 2, 0.0, c, 2)
-			if !math.IsNaN(c[0]) {
-				t.Errorf("Gemm(%v, %v): C[0][0] = %g, want NaN from 0*NaN", tA, tB, c[0])
+	// s x s operands, and LowerMulMat's member count.
+	for _, sz := range [][2]int{{2, 1}, {8, 8}} {
+		s, cols := sz[0], sz[1]
+		zero := make([]float64, s*s)
+		bad := make([]float64, s*s)
+		for i := range bad {
+			bad[i] = 1
+		}
+		bad[0] = nan
+		for _, tA := range []Trans{NoTrans, Transpose} {
+			for _, tB := range []Trans{NoTrans, Transpose} {
+				c := make([]float64, s*s)
+				Gemm(tA, tB, s, s, s, 1.0, zero, s, bad, s, 0.0, c, s)
+				if !math.IsNaN(c[0]) {
+					t.Errorf("Gemm(%v, %v) %dx%d: C[0][0] = %g, want NaN from 0*NaN", tA, tB, s, s, c[0])
+				}
 			}
 		}
-	}
-	// A column (Transpose) or row (NoTrans) of A pairing 0 with NaN.
-	c := make([]float64, 4)
-	Syrk(Transpose, 2, 1, 1.0, []float64{nan, 0}, 2, 0.0, c, 2)
-	if !math.IsNaN(c[2]) {
-		t.Errorf("Syrk(Transpose): C[1][0] = %g, want NaN from 0*NaN", c[2])
-	}
-	c = make([]float64, 4)
-	Syrk(NoTrans, 2, 1, 1.0, []float64{nan, 0}, 1, 0.0, c, 2)
-	if !math.IsNaN(c[2]) {
-		t.Errorf("Syrk(NoTrans): C[1][0] = %g, want NaN from 0*NaN", c[2])
-	}
-	l := &Matrix{Rows: 2, Cols: 2, Data: []float64{1, 0, 0, 1}}
-	x := &Matrix{Rows: 2, Cols: 1, Data: []float64{nan, 1}}
-	y := NewMatrix(2, 1)
-	l.LowerMulMat(x, y)
-	if !math.IsNaN(y.Data[1]) {
-		t.Errorf("LowerMulMat: Y[1][0] = %g, want NaN from 0*NaN", y.Data[1])
+		// A column (Transpose) or row (NoTrans) of A pairing 0 with NaN.
+		a := make([]float64, s)
+		a[0] = nan
+		c := make([]float64, s*s)
+		Syrk(Transpose, s, 1, 1.0, a, s, 0.0, c, s)
+		if !math.IsNaN(c[s]) {
+			t.Errorf("Syrk(Transpose) n=%d: C[1][0] = %g, want NaN from 0*NaN", s, c[s])
+		}
+		c = make([]float64, s*s)
+		Syrk(NoTrans, s, 1, 1.0, a, 1, 0.0, c, s)
+		if !math.IsNaN(c[s]) {
+			t.Errorf("Syrk(NoTrans) n=%d: C[1][0] = %g, want NaN from 0*NaN", s, c[s])
+		}
+		l := Eye(s)
+		x := NewMatrix(s, cols)
+		for i := range x.Data {
+			x.Data[i] = 1
+		}
+		x.Data[0] = nan
+		y := NewMatrix(s, cols)
+		l.LowerMulMat(x, y)
+		if !math.IsNaN(y.At(1, 0)) {
+			t.Errorf("LowerMulMat n=%d cols=%d: Y[1][0] = %g, want NaN from 0*NaN", s, cols, y.At(1, 0))
+		}
 	}
 }
 

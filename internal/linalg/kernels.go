@@ -53,17 +53,7 @@ func Gemm[T Float](tA, tB Trans, m, n, k int, alpha T, a []T, lda int, b []T, ld
 		return
 	}
 	checkDims(tA, tB, m, n, k, len(a), lda, len(b), ldb, len(c), ldc)
-	// dotRows wants both operands contiguous along k.
-	if tA == Transpose {
-		a, lda = packTranspose(a, lda, k, m), k
-	}
-	if tB == NoTrans {
-		b, ldb = packTranspose(b, ldb, k, n), k
-	}
-	par.ForBlocks(0, m, blockSize, func(lo, hi int) {
-		scaleRows(beta, c, ldc, lo, hi, n, false)
-		dotRows(lo, hi, n, k, alpha, a, lda, b, ldb, c, ldc, false, false)
-	})
+	product(m, n, k, alpha, a, lda, tA, b, ldb, tB, beta, c, ldc, false, false)
 }
 
 func checkDims(tA, tB Trans, m, n, k, la, lda, lb, ldb, lc, ldc int) {
@@ -98,13 +88,7 @@ func Syrk[T Float](trans Trans, n, k int, alpha T, a []T, lda int, beta T, c []T
 	}
 	// The shapes of the Gemm this is, with A in both operand places.
 	checkDims(trans, !trans, n, n, k, len(a), lda, len(a), lda, len(c), ldc)
-	if trans == Transpose {
-		a, lda = packTranspose(a, lda, k, n), k
-	}
-	par.ForBlocks(0, n, blockSize, func(lo, hi int) {
-		scaleRows(beta, c, ldc, lo, hi, n, true)
-		dotRows(lo, hi, n, k, alpha, a, lda, a, lda, c, ldc, true, trans == NoTrans)
-	})
+	product(n, n, k, alpha, a, lda, trans, a, lda, !trans, beta, c, ldc, true, trans == NoTrans)
 }
 
 // TrsmRightLowerTrans solves X * L^T = alpha * B for X, overwriting B,

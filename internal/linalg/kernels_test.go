@@ -423,8 +423,14 @@ func TestLowerMulVecBitIdenticalToOneRowLoop(t *testing.T) {
 
 // TestLowerMulMatColumnBlocks pins LowerMulMat's 2 x 4 tiles (row pairs
 // and a last odd row, full groups of four members, the narrower last
-// group, and both together) to column-wise LowerMulVec bit for bit.
+// group, and both together) to column-wise LowerMulVec bit for bit, on
+// whichever leaf the host picks and on dot2x4.
 func TestLowerMulMatColumnBlocks(t *testing.T) {
+	testLowerMulMatColumnBlocks(t)
+	onDot2x4(t, testLowerMulMatColumnBlocks)
+}
+
+func testLowerMulMatColumnBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{1, 2, 3, 65, 130, 1024} {
 		for _, cols := range []int{1, 3, 4, 5, 8, 9} {
@@ -549,9 +555,13 @@ func benchGemmNT[T Float](b *testing.B) {
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
 }
 
-// The generation step's two products: xi = V eta for one member
-// (LowerMulVec) and for 8 members at once (LowerMulMat), at the L = 16
-// and L = 32 covariance dimensions.
+// The generation step's two products, xi = V eta for one member
+// (LowerMulVec) and for a batch of members at once (LowerMulMat), at the
+// L = 16 and L = 32 covariance dimensions. LowerMulMat runs at 1 member
+// (its LowerMulVec case), 8 (X is dot2x8's panel as it stands), 9 (the
+// zero-padded pack; the nine-member campaign of
+// TestGenerationDigestAcrossCommits) and 16 (two packed panels), and
+// reports the cost per member column, which a batch would have to lower.
 func BenchmarkLinalg_LowerMulVec(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
@@ -568,18 +578,20 @@ func BenchmarkLinalg_LowerMulVec(b *testing.B) {
 }
 
 func BenchmarkLinalg_LowerMulMat(b *testing.B) {
-	const cols = 8
 	for _, n := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			l := randLower(rng, n)
-			x := &Matrix{Rows: n, Cols: cols, Data: randSlice(rng, n*cols)}
-			y := NewMatrix(n, cols)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				l.LowerMulMat(x, y)
-			}
-		})
+		for _, cols := range []int{1, 8, 9, 16} {
+			b.Run(fmt.Sprintf("n%d/cols%d", n, cols), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				l := randLower(rng, n)
+				x := &Matrix{Rows: n, Cols: cols, Data: randSlice(rng, n*cols)}
+				y := NewMatrix(n, cols)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					l.LowerMulMat(x, y)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*cols), "us/col")
+			})
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"exaclim/internal/par"
 )
@@ -164,24 +163,21 @@ func (m *Matrix) LowerMulVec(x, y []float64) {
 	}
 }
 
-// xtPool keeps LowerMulMat's transposed right-hand side between calls;
-// a generation step would otherwise allocate one (64 KB at L = 32 with
-// eight members) every step.
-var xtPool = sync.Pool{New: func() any { return new([]float64) }}
-
 // LowerMulMat computes Y = L X for the lower-triangular matrix L, where
 // X and Y are n x M — the batched sampling step Xi = V H of the ensemble
 // engine, one matrix-matrix product per VAR step instead of M LowerMulVec
 // calls. Each output element accumulates products in ascending-j order,
 // exactly like LowerMulVec, so column c of Y is bitwise identical to
-// LowerMulVec applied to column c of X. X is transposed first so that a
-// member's draws are contiguous along j, and the product then runs on the
-// package's 2 x 4 tile (dot2x4): a pair of rows of L against four members,
-// over the columns both rows have, with the lower row's diagonal term
-// added last. Rows are independent, so the kernel parallelizes over row
-// blocks deterministically. A single column (one VAR chain) runs
-// LowerMulVec instead, which does not pad the tile with three idle
-// members: the kernel is chosen from the shape, the bits are the same.
+// LowerMulVec applied to column c of X. The product runs on the package's
+// leaves: a pair of rows of L against eight members (dot2x8, whose panel
+// an eight-member X already is; other member counts are packed into
+// zero-padded panels) or four (dot2x4, on X transposed so a member's
+// draws are contiguous along j), over the columns both rows have, with the
+// lower row's diagonal term added last. Rows are independent, so the
+// kernel parallelizes over row blocks deterministically. A single column
+// (one VAR chain) runs LowerMulVec instead, which does not pad the tile
+// with idle members: the kernel is chosen from the shape, the bits are
+// the same.
 func (m *Matrix) LowerMulMat(x, y *Matrix) {
 	n := m.Rows
 	if m.Cols != n {
@@ -196,13 +192,21 @@ func (m *Matrix) LowerMulMat(x, y *Matrix) {
 		m.LowerMulVec(x.Data, y.Data)
 		return
 	}
-	buf := xtPool.Get().(*[]float64)
-	defer xtPool.Put(buf)
-	if cap(*buf) < n*cols {
-		*buf = make([]float64, n*cols)
+	buf := packPool.Get().(*[]float64)
+	defer putPack(buf)
+	// xp is X in the leaf's layout: member c's draw j at
+	// xp[(c-c%8)*n+8j+c%8] for dot2x8, at xp[c*n+j] for dot2x4.
+	var xp []float64
+	w := 4
+	if panelLeaf[float64](n) {
+		xp, w = packPanels(buf, x.Data, cols, NoTrans, cols, n), 8
+	} else {
+		if cap(*buf) < n*cols {
+			*buf = make([]float64, n*cols)
+		}
+		xp = (*buf)[:n*cols]
+		transposeInto(xp, x.Data, cols, n, cols)
 	}
-	xt := (*buf)[:n*cols]
-	transposeInto(xt, x.Data, cols, n, cols)
 	par.ForBlocks(0, n, blockSize, func(lo, hi int) {
 		for i := lo; i < hi; i += 2 {
 			// Rows i and i+1 share columns [0, i]; a last odd row is
@@ -213,19 +217,25 @@ func (m *Matrix) LowerMulMat(x, y *Matrix) {
 			}
 			l0 := m.Data[i*n : i*n+i+1]
 			l1 := m.Data[i1*n : i1*n+i+1]
-			for c := 0; c < cols; c += 4 {
-				w := min(4, cols-c)
-				var xr [4][]float64
-				for s := range xr {
-					xr[s] = xt[(c+min(s, w-1))*n:]
+			for c := 0; c < cols; c += w {
+				wc := min(w, cols-c)
+				var acc [16]float64
+				if w == 8 {
+					panelTile(l0, l1, xp[c*n:], &acc)
+				} else {
+					// Members past the last one repeat it.
+					var xr [4][]float64
+					for s := range xr {
+						xr[s] = xp[(c+min(s, wc-1))*n:]
+					}
+					dot2x4(l0, l1, xr[0], xr[1], xr[2], xr[3], (*[8]float64)(acc[:8]))
 				}
-				var acc [8]float64
-				dot2x4(l0, l1, xr[0], xr[1], xr[2], xr[3], &acc)
-				copy(y.Data[i*cols+c:i*cols+c+w], acc[:4])
+				copy(y.Data[i*cols+c:i*cols+c+wc], acc[:wc])
 				if i1 != i {
 					d := m.Data[i1*n+i1]
-					for s := 0; s < w; s++ {
-						y.Data[i1*cols+c+s] = acc[4+s] + d*xr[s][i1]
+					xi1 := x.Data[i1*cols+c : i1*cols+c+wc]
+					for s, v := range xi1 {
+						y.Data[i1*cols+c+s] = acc[w+s] + d*v
 					}
 				}
 			}

@@ -524,13 +524,15 @@ const evalBlockRows = 256
 
 // evalSteps is how many archived steps one evaluator product takes (a
 // ReadPackedBlocks block). The tile pairs steps, so a lone step runs its
-// rows twice and streams the weights once for one step. At L = 64 with
-// 16 rows (2-vCPU Xeon, -cpu 1) a step costs 55-64 us alone, 42-46 in
-// pairs and reaches the plateau, 29-42 depending on the host's load, from
-// four steps on; one row falls from 6.3-6.7 us a step (a dot) to 5.0-5.2.
-// Eight keeps the chunk-clipped tail blocks of a range on the plateau,
-// the block (256 KiB at L = 64) in L2 between its decode and its product,
-// and a cancelled request to at most eight decodes past its last check.
+// rows twice and streams the weights once for one step; from three steps
+// on the product runs on the AVX panel tile, which packs the weights once
+// per product. At L = 64 with 16 rows (2-vCPU Xeon, -cpu 1) a step costs
+// 68-69 us alone, 34-36 in pairs, 28 in threes, 21 in fours, 15 in
+// eights and 12 in sixteens; one row falls from 5.2-5.3 us a step (a dot)
+// to 4.3. Eight keeps the chunk-clipped tail blocks of a range near the
+// floor, the block (256 KiB at L = 64) in L2 between its decode and its
+// product, and a cancelled request to at most eight decodes past its last
+// check; sixteen would save 3 us a step at 16 rows for twice the block.
 const evalSteps = 8
 
 // series is the one loop under PointSeries, PointsSeries and BoxSeries:

@@ -140,10 +140,12 @@ func (e *Evaluator) EvalPacked(dst []float64, packed []float64) []float64 {
 // A one-row evaluator (a point, a box mean) runs the product with the
 // operands swapped, weights x block^T, so the tile's four columns are
 // four steps rather than one row computed four times; steps beyond the
-// last whole four are plain dots. At L = 64 over one eight-step block
-// (2-vCPU Xeon, -cpu 1) a step costs 5.0-5.2 us swapped, 6.3-6.7 as a
-// dot and 9.8-10.4 through the tile with one column; a lone step costs
-// ~20 us swapped and 4-5 as a dot.
+// last whole four are plain dots. The swapped product has one row, so it
+// stays on linalg's scalar 2 x 4 tile; unswapped, eight steps would reach
+// the AVX panel tile with one of its eight lanes in use. At L = 64 over
+// one eight-step block (2-vCPU Xeon, -cpu 1) a step costs 4.3 us
+// swapped, 5.2-5.3 as a dot and 7.1 unswapped (8.4-10.1 before the panel
+// tile); a lone step costs 17 us unswapped and 5.2-5.3 as a dot.
 func (e *Evaluator) EvalBlock(dst, block []float64, steps int) []float64 {
 	k, n := PackDim(e.L), e.Rows()
 	if steps < 1 || len(block) != steps*k {
