@@ -554,7 +554,7 @@ func BenchmarkServe_Traced(b *testing.B) {
 		run(b, exaclim.ServeConfig{DisableMetrics: true})
 	})
 	b.Run("sampled", func(b *testing.B) {
-		run(b, exaclim.ServeConfig{TraceSampleRate: 1, TraceStoreCapacity: 1024})
+		run(b, exaclim.ServeConfig{TraceSampleRate: 1})
 	})
 }
 
@@ -1129,8 +1129,8 @@ func BenchmarkEmulator_LiveSeries(b *testing.B) {
 // BenchmarkServe_WhatIf times what-if serving: point time series on a
 // live scenario whose forcing pathway is absent from the archive. The
 // first query emulates and caches the series; steady state measures the
-// hot dashboard path (cached live fields + bilinear sampling + the
-// point-evaluator LRU for archived comparisons). req/s is the headline.
+// hot dashboard path (cached live fields + bilinear sampling + spectral
+// point evaluation for archived comparisons). req/s is the headline.
 func BenchmarkServe_WhatIf(b *testing.B) {
 	model := ensembleBenchModel(b)
 	r := replayBenchReader(b)

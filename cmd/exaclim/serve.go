@@ -40,7 +40,6 @@ func runServe(args []string) {
 		liveT0    = fs.Int("liveT0", 0, "training-step offset of live step 0 (match the archive's -t0)")
 		seed      = fs.Int64("seed", 1, "base seed for live member emulation")
 		cacheMB   = fs.Int("cacheMB", 256, "field cache capacity in MiB (one cache behind both the JSON and the f32 format)")
-		shards    = fs.Int("shards", 16, "field cache shards")
 		inflight  = fs.Int("max-inflight", 0, "cap on concurrently served requests; beyond it requests shed with 503 (0 = unlimited)")
 		timeout   = fs.Duration("timeout", 0, "per-request handling timeout, e.g. 5s (0 = none)")
 		metrics   = fs.Bool("metrics", true, "expose Prometheus text metrics on /metrics")
@@ -103,7 +102,6 @@ func runServe(args []string) {
 	}
 	srv, err := exaclim.NewServer(r, model, exaclim.ServeConfig{
 		CacheBytes:         int64(*cacheMB) << 20,
-		CacheShards:        *shards,
 		LiveScenarios:      *live,
 		LiveSteps:          *liveSteps,
 		LiveT0:             *liveT0,

@@ -12,8 +12,8 @@
 // (DP / DP-SP / DP-SP-HP / DP-HP tile layouts) on a dynamic task runtime,
 // and emulation runs the chain in reverse. A calibrated performance model
 // of Frontier, Alps, Leonardo and Summit reproduces the paper's
-// scalability study (internal/cluster; `go run ./cmd/repro` prints it
-// against the paper's numbers).
+// scalability study; it is not part of this package (internal/cluster;
+// `go run ./cmd/repro` prints it against the paper's numbers).
 //
 // This root package is the stable public surface. Typical use:
 //
@@ -47,7 +47,6 @@ import (
 	"io"
 
 	"exaclim/internal/archive"
-	"exaclim/internal/cluster"
 	"exaclim/internal/emulator"
 	"exaclim/internal/era5"
 	"exaclim/internal/forcing"
@@ -177,18 +176,15 @@ type (
 	// (Field, PointSeries, BoxSeries, EnsembleStats) serve in-process
 	// callers. Safe for concurrent use by any number of goroutines.
 	Server = serve.Server
-	// ServeConfig tunes the server: cache capacity and sharding, live
-	// scenario count/horizon, and the live base seed.
+	// ServeConfig tunes the server: cache capacity, live scenario
+	// count/horizon, the live base seed, and the hardening and tracing
+	// knobs.
 	ServeConfig = serve.Config
 	// ServeStats snapshots the server's instrumentation: request,
 	// decode+synthesis and live-emulation counters plus cache counters.
 	ServeStats = serve.Stats
 	// ServeCacheStats is the field cache's counter snapshot.
 	ServeCacheStats = serve.CacheStats
-	// ServeEvalStats is the point-evaluator cache's counter snapshot:
-	// hits skip the O(L^2) Legendre setup of repeated dashboard point
-	// queries.
-	ServeEvalStats = serve.EvalCacheStats
 	// ServeArchiveStats is the archive reader's counter snapshot (step
 	// decodes, chunk-cache hits/misses, bytes read) as observed through
 	// the server's metric sink.
@@ -206,21 +202,6 @@ type (
 	SeriesResponse = serve.SeriesResponse
 	StatsResponse  = serve.StatsResponse
 	InfoResponse   = serve.InfoResponse
-	// PointEvaluator evaluates band-limited fields at one fixed
-	// location in O(L^2) — the primitive under point time-series
-	// queries. Safe for concurrent use once built.
-	PointEvaluator = sht.PointEvaluator
-)
-
-// Performance-model types.
-type (
-	// MachineSpec describes one of the paper's four supercomputers.
-	MachineSpec = cluster.MachineSpec
-	// PerfRun is a predicted distributed factorization.
-	PerfRun = cluster.Run
-	// PerfPolicy captures runtime choices (conversion side, collective
-	// priority).
-	PerfPolicy = cluster.Policy
 )
 
 // Mixed-precision Cholesky variants, in the paper's order.
@@ -410,16 +391,9 @@ func NewMetricsRegistry() *MetricsRegistry {
 	return obs.NewRegistry()
 }
 
-// NewPointEvaluator builds an O(L^2) point evaluator at colatitude
-// theta and longitude phi (radians). Its EvalPacked is a dot product
-// with the packed coefficient vectors ArchiveReader.ReadPacked returns.
-func NewPointEvaluator(L int, theta, phi float64) *PointEvaluator {
-	return sht.NewPointEvaluator(L, theta, phi)
-}
-
 // EvalPoint evaluates coefficients c at a single (colatitude theta,
-// longitude phi) without synthesizing a grid. For time series at one
-// location build a PointEvaluator once instead.
+// longitude phi) without synthesizing a grid. For a time series at one
+// location, Server.PointSeries evaluates many steps per product.
 func EvalPoint(c Coeffs, theta, phi float64) float64 { return sht.EvalPoint(c, theta, phi) }
 
 // MeasuredStorageReport compares the measured byte size of an archive
@@ -440,21 +414,3 @@ func SeriesReconError(ref, recon []Field) ReconError { return stats.SeriesReconE
 func MeanPowerSpectrum(plan *SHT, fields []Field) []float64 {
 	return stats.MeanPowerSpectrum(plan, fields)
 }
-
-// Machines lists the paper's four systems (Frontier, Alps, Leonardo,
-// Summit) with calibrated performance constants.
-func Machines() []MachineSpec { return cluster.Machines() }
-
-// PredictCholesky estimates a distributed mixed-precision factorization
-// of an n x n covariance on `nodes` nodes of machine m (tile edge b; use
-// cluster defaults via DefaultTile/DefaultPerfPolicy).
-func PredictCholesky(m MachineSpec, nodes int, n int64, b int, v Variant, pol PerfPolicy) PerfRun {
-	return cluster.Predict(m, nodes, n, b, v, pol)
-}
-
-// DefaultTile is the tile edge used at paper scale.
-const DefaultTile = cluster.DefaultTile
-
-// DefaultPerfPolicy is the paper's optimized runtime configuration
-// (sender-side conversion, latency-prioritized collectives).
-func DefaultPerfPolicy() PerfPolicy { return cluster.DefaultPolicy() }

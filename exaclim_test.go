@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"exaclim"
+	"exaclim/internal/cluster"
+	"exaclim/internal/sht"
 )
 
 // TestPublicAPIEndToEnd exercises the documented public workflow:
@@ -104,13 +106,16 @@ func TestPublicMeanPowerSpectrumEmpty(t *testing.T) {
 	}
 }
 
+// TestPublicPerformanceModel checks the performance model beside the
+// public emulator types it prices; the model itself is not part of the
+// facade.
 func TestPublicPerformanceModel(t *testing.T) {
-	machines := exaclim.Machines()
+	machines := cluster.Machines()
 	if len(machines) != 4 {
 		t.Fatalf("expected the paper's 4 systems, got %d", len(machines))
 	}
 	for _, m := range machines {
-		r := exaclim.PredictCholesky(m, 1024, 8390000, exaclim.DefaultTile, exaclim.DPHP, exaclim.DefaultPerfPolicy())
+		r := cluster.Predict(m, 1024, 8390000, cluster.DefaultTile, exaclim.DPHP, cluster.DefaultPolicy())
 		if r.PFlops < 50 || r.PFlops > 1000 {
 			t.Errorf("%s: implausible prediction %.1f PF", m.Name, r.PFlops)
 		}
@@ -338,13 +343,13 @@ func TestPublicServing(t *testing.T) {
 	}
 
 	// Point queries agree with the synthesized pixel and with the
-	// public point-evaluation primitives.
+	// point-evaluation primitive.
 	i, j := grid.NLat/2, 3
 	series, err := srv.PointSeries(context.Background(), 1, 0, grid.Latitude(i), grid.LongitudeDeg(j), 0, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := exaclim.NewPointEvaluator(L, grid.Colatitude(i), grid.Longitude(j))
+	ev := sht.NewPointEvaluator(L, grid.Colatitude(i), grid.Longitude(j))
 	for ts := 0; ts < steps; ts++ {
 		f, err := r.ReadField(1, 0, ts)
 		if err != nil {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"exaclim"
+	"exaclim/internal/cluster"
 	"exaclim/internal/stats"
 )
 
@@ -87,8 +88,8 @@ func main() {
 
 	// The same campaign at paper scale: the L=5219 covariance factorized
 	// on Frontier with the calibrated performance model.
-	fro := exaclim.Machines()[0]
-	r := exaclim.PredictCholesky(fro, 9025, 27240000, exaclim.DefaultTile, exaclim.DPHP, exaclim.DefaultPerfPolicy())
+	fro := cluster.Machines()[0]
+	r := cluster.Predict(fro, 9025, 27240000, cluster.DefaultTile, exaclim.DPHP, cluster.DefaultPolicy())
 	fmt.Printf("\nat paper scale, the L=5219 covariance factorizes on %s in %.2f h at %.1f PFlop/s (DP/HP)\n",
 		fro.Name, r.Seconds/3600, r.PFlops)
 }

@@ -70,6 +70,11 @@ type cacheShard struct {
 	capacity int64
 }
 
+// cacheShards is the server's shard count: more shards means less lock
+// contention across distinct hot fields, fewer keeps LRU order closer to
+// exact.
+const cacheShards = 16
+
 // newFieldCache builds a cache of capacityBytes split over shards
 // (rounded up to a power of two, at least 1).
 func newFieldCache(capacityBytes int64, shards int) *fieldCache {

@@ -14,6 +14,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
 
 	"exaclim/internal/sphere"
@@ -248,6 +250,29 @@ func TestHTTPPointsEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s -> %d, want 400", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestPointsRejectsOversizedListBeforeParsing sends /v1/points a
+// 100 000-location request: it must answer 400, and the handler must
+// allocate less than one parsed list would (8 B per location), so the
+// limit is enforced before either list is split or parsed.
+func TestPointsRejectsOversizedListBeforeParsing(t *testing.T) {
+	s, _ := testServer(t)
+	h := s.Handler()
+	const n = 100_000
+	list := strings.Repeat("1,", n-1) + "1"
+	req := httptest.NewRequest("GET", "/v1/points?lat="+list+"&lon="+list, nil)
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("%d-location request -> %d, want 400", n, rec.Code)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8*n {
+		t.Fatalf("refusing %d locations allocated %d B, want < %d", n, got, 8*n)
 	}
 }
 

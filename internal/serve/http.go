@@ -243,11 +243,17 @@ func queryFloat(r *http.Request, name string) (float64, error) {
 	return f, nil
 }
 
-// queryFloatList parses a required comma-separated list of floats.
+// queryFloatList parses a required comma-separated list of at most
+// maxBatchPoints floats. The list is counted before it is split, so a
+// hostile URL of a million separators is refused without allocating
+// one value per entry.
 func queryFloatList(r *http.Request, name string) ([]float64, error) {
 	v := r.URL.Query().Get(name)
 	if v == "" {
 		return nil, badQuery("serve: missing required parameter %s", name)
+	}
+	if n := strings.Count(v, ",") + 1; n > maxBatchPoints {
+		return nil, badQuery("serve: %d %s values exceed the %d-point limit", n, name, maxBatchPoints)
 	}
 	parts := strings.Split(v, ",")
 	out := make([]float64, len(parts))

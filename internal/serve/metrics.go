@@ -94,16 +94,6 @@ func newServeMetrics(s *Server) *serveMetrics {
 		"Resident field-cache entries.",
 		func() float64 { return float64(s.cache.stats().Entries) })
 
-	reg.CounterFunc("exaclim_evalcache_hits_total",
-		"Point queries that reused a cached evaluator.",
-		func() float64 { return float64(s.evals.hits.Load()) })
-	reg.CounterFunc("exaclim_evalcache_misses_total",
-		"Point-evaluator builds.",
-		func() float64 { return float64(s.evals.misses.Load()) })
-	reg.GaugeFunc("exaclim_evalcache_entries",
-		"Resident point evaluators.",
-		func() float64 { return float64(s.evals.stats().Entries) })
-
 	obs.RegisterRuntime(reg, "exaclim_")
 	return m
 }

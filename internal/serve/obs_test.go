@@ -98,9 +98,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"exaclim_cache_evictions_total":         "counter",
 		"exaclim_cache_bytes":                   "gauge",
 		"exaclim_cache_entries":                 "gauge",
-		"exaclim_evalcache_hits_total":          "counter",
-		"exaclim_evalcache_misses_total":        "counter",
-		"exaclim_evalcache_entries":             "gauge",
 		"exaclim_archive_step_decodes_total":    "counter",
 		"exaclim_archive_read_bytes_total":      "counter",
 		"exaclim_archive_chunk_hits_total":      "counter",

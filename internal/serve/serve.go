@@ -51,10 +51,6 @@ type Config struct {
 	// CacheBytes bounds the field cache (default 256 MiB). The one cache
 	// holds float64 fields and serves both response formats.
 	CacheBytes int64
-	// CacheShards is the shard count, rounded up to a power of two
-	// (default 16). More shards means less lock contention across
-	// distinct hot fields.
-	CacheShards int
 	// LiveScenarios adds that many emulated-on-demand scenarios after
 	// the archive's own (scenario indices Scenarios() .. Scenarios() +
 	// LiveScenarios - 1). Requires a model.
@@ -79,10 +75,6 @@ type Config struct {
 	// training forcing. When LiveScenarios is zero it defaults to
 	// len(LivePathways).
 	LivePathways []forcing.Pathway
-	// EvalCacheEntries bounds the LRU of point evaluators keyed by
-	// quantized (lat, lon), which lets repeated dashboard point queries
-	// skip the O(L^2) Legendre setup (default 1024; < 0 disables).
-	EvalCacheEntries int
 	// MaxInFlight caps concurrently served HTTP requests; beyond it the
 	// handler sheds load with 503 instead of queueing without bound
 	// (0 = unlimited). Liveness (/healthz) is exempt.
@@ -113,9 +105,6 @@ type Config struct {
 	// always-on net under probabilistic sampling, so the outlier that
 	// matters is never the one that got away.
 	SlowTraceThreshold time.Duration
-	// TraceStoreCapacity bounds the in-memory ring of kept traces
-	// served by /debug/traces (default 256; oldest evicted first).
-	TraceStoreCapacity int
 	// EnableTraceDebug mounts /debug/traces on the handler — an admin
 	// surface, gated like EnablePprof.
 	EnableTraceDebug bool
@@ -126,17 +115,11 @@ func (c Config) withDefaults(h archive.Header) Config {
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 256 << 20
 	}
-	if c.CacheShards == 0 {
-		c.CacheShards = 16
-	}
 	if c.LiveScenarios == 0 {
 		c.LiveScenarios = len(c.LivePathways)
 	}
 	if c.LiveSteps == 0 {
 		c.LiveSteps = h.Steps
-	}
-	if c.EvalCacheEntries == 0 {
-		c.EvalCacheEntries = 1024
 	}
 	return c
 }
@@ -150,8 +133,6 @@ type Server struct {
 	cfg   Config
 	cache *fieldCache // float64 fields behind both response formats
 	plan  *sht.Plan   // shared read-only; see New for its fan-out
-
-	evals *evalCache // point evaluators keyed by quantized (lat, lon)
 
 	fieldLoads atomic.Int64 // underlying archive decode+synthesis count
 	liveLoads  atomic.Int64 // underlying live emulation runs
@@ -175,8 +156,10 @@ type Stats struct {
 	// CacheF32 is always zero: there is no second cache. The field is
 	// kept because existing Stats consumers still read it.
 	CacheF32 CacheStats
-	// Evals is the point-evaluator cache's counter snapshot.
-	Evals EvalCacheStats
+	// Evals is always zero: every point query builds its own
+	// evaluator, and nothing caches them. The field is kept because
+	// existing Stats consumers still read it.
+	Evals struct{ Hits, Misses int64 }
 	// FieldLoads counts underlying archive decode+synthesis runs — with
 	// single-flight coalescing this stays at one per distinct field no
 	// matter how many concurrent requests raced for it.
@@ -234,8 +217,7 @@ func New(r *archive.Reader, model *emulator.Model, cfg Config) (*Server, error) 
 		model: model,
 		h:     h,
 		cfg:   cfg,
-		cache: newFieldCache(cfg.CacheBytes, cfg.CacheShards),
-		evals: newEvalCache(cfg.EvalCacheEntries),
+		cache: newFieldCache(cfg.CacheBytes, cacheShards),
 		plan:  plan,
 	}
 	if cfg.MaxInFlight > 0 {
@@ -276,7 +258,6 @@ func (s *Server) Steps(scenario int) int {
 func (s *Server) Stats() Stats {
 	st := Stats{
 		Cache:      s.cache.stats(),
-		Evals:      s.evals.stats(),
 		FieldLoads: s.fieldLoads.Load(),
 		LiveLoads:  s.liveLoads.Load(),
 		Requests:   s.requests.Load(),
@@ -616,28 +597,13 @@ func (s *Server) series(ctx context.Context, member, scenario, t0, t1 int, q ser
 // PointSeries returns the field value at geographic (lat degrees, lon
 // degrees) for every step in [t0, t1) of (member, scenario): the exact
 // location by spectral evaluation for archived scenarios, bilinear
-// interpolation on the grid for live ones (see series).
+// interpolation on the grid for live ones. It is PointsSeries at one
+// location.
 func (s *Server) PointSeries(ctx context.Context, member, scenario int, lat, lon float64, t0, t1 int) ([]float64, error) {
-	if err := s.checkRange(member, scenario, t0, t1); err != nil {
-		return nil, err
-	}
-	theta, phi, err := angles(lat, lon)
+	out, err := s.PointsSeries(ctx, member, scenario, []float64{lat}, []float64{lon}, t0, t1)
 	if err != nil {
 		return nil, err
 	}
-	evHit := false
-	out, esp, err := s.series(ctx, member, scenario, t0, t1, seriesQuery{
-		n:      1,
-		sample: func(data, vals []float64) { vals[0] = bilinear(s.h.Grid, data, theta, phi) },
-		rows: func(int, int) (ev *sht.Evaluator) {
-			ev, evHit = s.evals.get(s.h.L, lat, lon, theta, phi)
-			return ev
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	esp.SetAttrString("evalcache", hitMiss(evHit))
 	return out[0], nil
 }
 
@@ -654,14 +620,6 @@ func attachCursorStats(ctx context.Context, cur *archive.Series) *cursorStats {
 	return &info.cursor
 }
 
-// hitMiss renders a cache outcome as a span attribute value.
-func hitMiss(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
-}
-
 // maxBatchPoints bounds one multi-point query, keeping the response size
 // sane (the evaluator's weights are bounded separately: evalBlockRows).
 const maxBatchPoints = 4096
@@ -669,7 +627,7 @@ const maxBatchPoints = 4096
 // PointsSeries returns one time series per location: out[p][i] is the
 // field value at (lats[p], lons[p]) at step t0+i of (member, scenario).
 // Each location is one weight row of the step product, so series p is
-// bit-identical to PointSeries at the same location.
+// bit-identical to a request for that location alone.
 func (s *Server) PointsSeries(ctx context.Context, member, scenario int, lats, lons []float64, t0, t1 int) ([][]float64, error) {
 	if err := s.checkRange(member, scenario, t0, t1); err != nil {
 		return nil, err

@@ -67,6 +67,10 @@ type tracer struct {
 	store   *trace.Store
 }
 
+// traceStoreCapacity bounds the ring of kept traces /debug/traces
+// serves; the oldest are evicted first.
+const traceStoreCapacity = 256
+
 // newTracer builds the tracer, or returns nil when no tracing knob is
 // set — the nil tracer keeps the wholly-untraced configuration at
 // literal zero cost.
@@ -77,7 +81,7 @@ func newTracer(cfg Config) *tracer {
 	return &tracer{
 		sampler: trace.NewSampler(cfg.TraceSampleRate),
 		slow:    cfg.SlowTraceThreshold,
-		store:   trace.NewStore(cfg.TraceStoreCapacity),
+		store:   trace.NewStore(traceStoreCapacity),
 	}
 }
 

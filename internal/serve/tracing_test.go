@@ -340,9 +340,9 @@ func TestTracedConcurrentScrape(t *testing.T) {
 	s := tracedServer(t, Config{
 		TraceSampleRate:    1,
 		SlowTraceThreshold: time.Hour,
-		TraceStoreCapacity: 4096, // striped fill is binomial; leave headroom
 		EnableTraceDebug:   true,
 	})
+	s.tracer.store = trace.NewStore(4096) // striped fill is binomial; leave headroom
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"exaclim"
@@ -55,6 +56,11 @@ type oracleEnv struct {
 
 	mu     sync.Mutex
 	series map[[2]int][]exaclim.Field // (member, scenario) -> emulated live series
+
+	// spectral counts the point (index 0) and multi-point (index 1)
+	// answers checked over archived scenarios: the spectral evaluation
+	// path, as opposed to bilinear sampling of live grids.
+	spectral [2]atomic.Int64
 }
 
 func newOracleEnv(t *testing.T) *oracleEnv {
@@ -125,7 +131,7 @@ func newOracleEnv(t *testing.T) *oracleEnv {
 	// cache holds about half of one live series, so live answers come from
 	// resident entries, from a run's own output and from re-runs alike.
 	e.srv, err = exaclim.NewServer(open(), model, exaclim.ServeConfig{
-		CacheBytes: int64(8 * oracleLiveSteps / 2 * grid.Points() * 8), CacheShards: 16,
+		CacheBytes:    int64(8 * oracleLiveSteps / 2 * grid.Points() * 8),
 		LiveScenarios: 2, LivePathways: e.live,
 		LiveSteps: oracleLiveSteps, LiveT0: oracleLiveT0, BaseSeed: oracleBaseSeed,
 	})
@@ -311,6 +317,9 @@ func (e *oracleEnv) check(ctx context.Context, rng *rand.Rand) error {
 				return fmt.Errorf("PointSeries(%d,%d,%g,%g) step %d: %w", member, scenario, lat, lon, t0+i, err)
 			}
 		}
+		if !e.isLive(scenario) {
+			e.spectral[0].Add(1)
+		}
 	case 3: // multi-point series
 		n := 1 + rng.Intn(5)
 		lats, lons := make([]float64, n), make([]float64, n)
@@ -331,6 +340,9 @@ func (e *oracleEnv) check(ctx context.Context, rng *rand.Rand) error {
 					return fmt.Errorf("PointsSeries(%d,%d) location %d (%g,%g) step %d: %w", member, scenario, p, lats[p], lons[p], t0+i, err)
 				}
 			}
+		}
+		if !e.isLive(scenario) {
+			e.spectral[1].Add(1)
 		}
 	case 4: // box series, including boxes that wrap the date line
 		lat0, _ := loc()
@@ -416,7 +428,8 @@ func TestServerDifferentialOracle(t *testing.T) {
 	}
 	wg.Wait()
 	st := e.srv.Stats()
-	if st.FieldLoads == 0 || st.LiveLoads == 0 || st.Evals.Misses == 0 || st.Cache.Misses == 0 {
-		t.Errorf("the draw missed a path: %+v", st)
+	points, multi := e.spectral[0].Load(), e.spectral[1].Load()
+	if st.FieldLoads == 0 || st.LiveLoads == 0 || points == 0 || multi == 0 || st.Cache.Misses == 0 {
+		t.Errorf("the draw missed a path: %d spectral point and %d multi-point answers checked, %+v", points, multi, st)
 	}
 }
