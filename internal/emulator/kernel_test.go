@@ -21,8 +21,12 @@ import (
 // digest below. Three distinct lag decays, a VAR(2), a dense lower
 // factor, a nugget with an exact-zero pixel, and a forcing record that
 // ends before the emulated horizon does.
-func handBuiltModel() *Model {
-	const L, P = 3, 2
+func handBuiltModel() *Model { return handBuiltModelAt(3) }
+
+// handBuiltModelAt is handBuiltModel at band limit L: the same closed
+// forms over an L*L-dimensional factor.
+func handBuiltModelAt(L int) *Model {
+	const P = 2
 	grid := sphere.GridForBandLimit(L)
 	dim := sht.PackDim(L)
 	nPix := grid.Points()
@@ -65,7 +69,7 @@ func handBuiltModel() *Model {
 		Grid:      grid,
 		Trend:     fit,
 		VAR:       &varm.Model{P: P, Dim: dim, Phi: phi},
-		Factor:    tile.FromDense(v, 3, tile.UniformMap(tile.FP64)),
+		Factor:    tile.FromDense(v, L, tile.UniformMap(tile.FP64)),
 		NuggetVar: nugget,
 	}
 }
@@ -142,5 +146,29 @@ func TestGenerationDigestAcrossCommits(t *testing.T) {
 		if generationDigest(got[c]) != generationDigest(ref) {
 			t.Errorf("ensemble member %d differs from its serial emulation", c)
 		}
+	}
+}
+
+// TestOneMemberDigestAcrossPanels pins one-member generation where the
+// one-chain product xi = V eta spans several of its 16-row panels:
+// handBuiltModel at L = 7, a 49-dimensional factor, is three full panels
+// and a one-row partial one, and every lane of a full panel sums dozens of
+// products. (TestGenerationDigestAcrossCommits's one member runs at
+// dimension 9, a single partial panel whose leaf loop runs once, where a
+// fused multiply-add or a reordered sum could go unnoticed.) The digest
+// was computed by this test body at 8177752, before the one-chain product
+// ran on a packed factor.
+func TestOneMemberDigestAcrossPanels(t *testing.T) {
+	const (
+		seed      = 20240917
+		t0, steps = 3, 24
+		want      = "8b2cc8100eee74768b330d8b1ba678ac691ee786320c1e16d8f85cef770ad64e"
+	)
+	fields, err := handBuiltModelAt(7).Emulate(seed, t0, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := generationDigest(fields); got != want {
+		t.Errorf("one-member generation digest at L=7 = %s, want %s", got, want)
 	}
 }

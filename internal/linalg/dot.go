@@ -24,6 +24,14 @@ import (
 // into a transposed copy (packTranspose) when it is stored the other way
 // round.
 //
+// A third leaf serves the one-vector product y = L x of a VAR chain
+// (LowerPanels.MulVec, matrix.go):
+//
+//   - dot1x16 (amd64 assembly, AVX): one vector against a panel of sixteen
+//     rows of a lower-triangular L, packed once per run (PackLower) over
+//     the columns all sixteen rows have. Where panels are off it is
+//     LowerMulVec, four scalar rows at a time.
+//
 // Every output element owns exactly one accumulator, which takes its
 // products in ascending summed index, each rounded before it is added
 // (the assembly multiplies and adds; it never fuses the two), so a result
@@ -48,9 +56,10 @@ const (
 	panelRows = 3
 )
 
-// usePanel selects dot2x8 for float64 products of panelRows rows or more.
-// It is the CPU's answer (panelSupported); tests switch it off to run the
-// dot2x4 path on the same inputs.
+// usePanel selects dot2x8 for float64 products of panelRows rows or more,
+// and dot1x16 (a packed factor) for PackLower. It is the CPU's answer
+// (panelSupported); tests switch it off to run the dot2x4 and LowerMulVec
+// paths on the same inputs.
 var usePanel = panelSupported
 
 // panelLeaf reports whether a product whose A has rows rows runs on
@@ -244,9 +253,10 @@ func dotRows[T Float](lo, hi, n, k int, alpha T, a []T, lda int, tA Trans, b []T
 }
 
 // packPool keeps the packed operands of the float64 products between
-// calls: B's panels, and LowerMulMat's right-hand side in either leaf's
-// layout. A generation step, an mpchol tile update or a served block of
-// steps would otherwise allocate one per call.
+// calls: B's panels, LowerMulMat's right-hand side in either leaf's
+// layout, and a one-chain run's factor (PackLower). A generation step or
+// run, an mpchol tile update or a served block of steps would otherwise
+// allocate one per call.
 var packPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // maxPooledPack is the largest buffer (in float64s) putPack returns to

@@ -346,8 +346,8 @@ func TestLowerMulVecMatchesMulVec(t *testing.T) {
 }
 
 func TestLowerMulVecInPlace(t *testing.T) {
-	// The emulator calls LowerMulVec with aliased x and y; the backwards
-	// iteration makes that safe. Verify.
+	// LowerMulVec(x, x) overwrites x with L x; the backwards iteration
+	// makes that safe. Verify.
 	rng := rand.New(rand.NewSource(11))
 	n := 30
 	l := NewMatrix(n, n)
@@ -416,6 +416,68 @@ func TestLowerMulVecBitIdenticalToOneRowLoop(t *testing.T) {
 			}
 			if math.Float64bits(aliased[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("n=%d aliased: y[%d] = %x, one-row loop gives %x", n, i, math.Float64bits(aliased[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
+// TestLowerPanelsMatchLowerMulVec pins the one-chain product on the
+// packed factor (LowerPanels.MulVec, the dot1x16 leaf) to LowerMulVec and
+// to the retired one-row loop bit for bit, at sizes on both sides of the
+// 16-row panel and its edges, aliased and not. Specials go into x and
+// into L, its never-read upper triangle included, and one case puts an
+// Inf into x at the last column of the first panel: the rows above it
+// lack that column and must stay finite, so a leaf that reads a
+// structural zero (0*Inf = NaN) fails here, and so does one that fuses a
+// product into its sum.
+func TestLowerPanelsMatchLowerMulVec(t *testing.T) {
+	testLowerPanels(t)
+	onDot2x4(t, testLowerPanels)
+}
+
+func testLowerPanels(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	var sizes []int
+	for n := 1; n <= 17; n++ {
+		sizes = append(sizes, n)
+	}
+	// 1500 packs more than maxPooledPack, which putPack does not pool.
+	sizes = append(sizes, 31, 32, 33, 47, 48, 49, 255, 256, 257, 1024, 1500)
+	for _, n := range sizes {
+		for c, name := range []string{"plain", "specials", "inf-above"} {
+			l := randLower(rng, n)
+			x := randSlice(rng, n)
+			switch c {
+			case 1:
+				sprinkle(rng, l.Data, n, n, n)
+				sprinkle(rng, x, 1, n, n)
+			case 2:
+				x[min(n, 16)-1] = math.Inf(1)
+			}
+			want := make([]float64, n)
+			lowerMulVecRef(l, x, want)
+			vec := make([]float64, n)
+			l.LowerMulVec(x, vec)
+			p := l.PackLower()
+			if packed := p.buf != nil; packed != usePanel {
+				t.Fatalf("n=%d: packed = %v with usePanel = %v", n, packed, usePanel)
+			}
+			got := make([]float64, n)
+			for i := range got {
+				got[i] = math.NaN() // the kernel must overwrite, not accumulate
+			}
+			p.MulVec(x, got)
+			aliased := append([]float64(nil), x...)
+			p.MulVec(aliased, aliased)
+			p.Release()
+			for _, r := range []struct {
+				what      string
+				got, want []float64
+			}{{"LowerMulVec", vec, want}, {"MulVec", got, want}, {"aliased MulVec", aliased, want}} {
+				if i := sameBits(r.got, r.want); i >= 0 {
+					t.Fatalf("n=%d %s: %s y[%d] = %x, one-row loop gives %x", n, name, r.what, i,
+						math.Float64bits(r.got[i]), math.Float64bits(r.want[i]))
+				}
 			}
 		}
 	}
@@ -556,25 +618,46 @@ func benchGemmNT[T Float](b *testing.B) {
 }
 
 // The generation step's two products, xi = V eta for one member
-// (LowerMulVec) and for a batch of members at once (LowerMulMat), at the
-// L = 16 and L = 32 covariance dimensions. LowerMulMat runs at 1 member
-// (its LowerMulVec case), 8 (X is dot2x8's panel as it stands), 9 (the
-// zero-padded pack; the nine-member campaign of
+// (LowerMulVec, and LowerPanels.MulVec on the packed factor, which is what
+// a one-chain run steps with) and for a batch of members at once
+// (LowerMulMat), at the L = 16 and L = 32 covariance dimensions. "pack" is
+// the once-per-run cost of PackLower and Release. LowerMulMat runs at 1
+// member (one tile padded with idle members; a one-chain run steps on
+// the packed factor instead), 8 (X is dot2x8's panel as it stands), 9
+// (the zero-padded pack; the nine-member campaign of
 // TestGenerationDigestAcrossCommits) and 16 (two packed panels), and
 // reports the cost per member column, which a batch would have to lower.
 func BenchmarkLinalg_LowerMulVec(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			l := randLower(rng, n)
-			x := randSlice(rng, n)
-			y := make([]float64, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				l.LowerMulVec(x, y)
-			}
-		})
+	run := func(name string, body func(b *testing.B, l *Matrix, x, y []float64)) {
+		for _, n := range []int{256, 1024} {
+			b.Run(fmt.Sprintf(name, n), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				l := randLower(rng, n)
+				x := randSlice(rng, n)
+				y := make([]float64, n)
+				b.ResetTimer()
+				body(b, l, x, y)
+			})
+		}
 	}
+	run("n%d", func(b *testing.B, l *Matrix, x, y []float64) {
+		for i := 0; i < b.N; i++ {
+			l.LowerMulVec(x, y)
+		}
+	})
+	run("packed/n%d", func(b *testing.B, l *Matrix, x, y []float64) {
+		p := l.PackLower()
+		defer p.Release()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.MulVec(x, y)
+		}
+	})
+	run("pack/n%d", func(b *testing.B, l *Matrix, _, _ []float64) {
+		for i := 0; i < b.N; i++ {
+			l.PackLower().Release()
+		}
+	})
 }
 
 func BenchmarkLinalg_LowerMulMat(b *testing.B) {

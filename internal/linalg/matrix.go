@@ -118,8 +118,10 @@ func (m *Matrix) Cholesky() error {
 	return nil
 }
 
-// LowerMulVec computes y = L x for the lower-triangular matrix, the
-// sampling step xi = V eta of the emulator. Rows are taken four at a time
+// LowerMulVec computes y = L x for the lower-triangular matrix: the
+// sampling step xi = V eta of one chain where no panel leaf runs, and the
+// bit-identity reference of LowerPanels.MulVec (which a one-chain run
+// steps with) and of LowerMulMat's columns. Rows are taken four at a time
 // from the bottom up: each row keeps its own accumulator and adds its
 // products in ascending-j order (so y is bit-identical to a one-row
 // loop), the four independent add chains overlap, and x[j] is loaded once
@@ -163,6 +165,97 @@ func (m *Matrix) LowerMulVec(x, y []float64) {
 	}
 }
 
+// LowerPanels is a lower-triangular factor packed for the one-vector
+// product y = L x on the dot1x16 leaf: the VAR step of one chain, which
+// repeats that product with one L for a whole run. Panel k holds rows
+// [16k, 16k+16) interleaved over the columns all of them have, j in
+// [0, 16k], so the leaf reads no structural zero and a zero can never
+// meet an Inf of x. Where the CPU has no panel leaf, nothing is packed
+// and MulVec runs LowerMulVec.
+type LowerPanels struct {
+	m   *Matrix
+	buf *[]float64 // from packPool; nil when nothing is packed
+}
+
+// lowerPanelAt is where panel k starts in a LowerPanels pack: panel q
+// takes 16(16q+1) elements.
+func lowerPanelAt(k int) int { return 128*k*(k-1) + 16*k }
+
+// PackLower packs the square lower-triangular m for LowerPanels.MulVec.
+// Release returns the pack to the pool; m must not change until then.
+func (m *Matrix) PackLower() LowerPanels {
+	n := m.Rows
+	if m.Cols != n {
+		panic(fmt.Sprintf("linalg: PackLower needs a square factor, got %dx%d", m.Rows, m.Cols))
+	}
+	if !usePanel {
+		return LowerPanels{m: m}
+	}
+	np := (n + 15) / 16
+	size := lowerPanelAt(np)
+	buf := packPool.Get().(*[]float64)
+	if cap(*buf) < size {
+		*buf = make([]float64, size)
+	}
+	pb := (*buf)[:size]
+	for k := 0; k < np; k++ {
+		i0, w := 16*k, 16*k+1
+		p := pb[lowerPanelAt(k):lowerPanelAt(k+1)]
+		// Sixteen rows read side by side, the panel written in order; the
+		// lanes a last panel has no row for repeat its last row, and their
+		// sums are dropped.
+		var rs [16][]float64
+		for r := range rs {
+			i := min(i0+r, n-1)
+			rs[r] = m.Data[i*n : i*n+w]
+		}
+		for j := range w {
+			d := p[16*j : 16*j+16 : 16*j+16]
+			for r := range d {
+				d[r] = rs[r][j]
+			}
+		}
+	}
+	return LowerPanels{m: m, buf: buf}
+}
+
+// Release returns the pack to the pool. p must not be used afterwards.
+func (p LowerPanels) Release() {
+	if p.buf != nil {
+		putPack(p.buf)
+	}
+}
+
+// MulVec computes y = L x, bit for bit with LowerMulVec: each row sums
+// its products from zero in ascending j, the leaf's columns [0, 16k]
+// first and then, in scalar code on the unpacked factor, the at most
+// fifteen columns (16k, i] a row has past them. Panels run from the
+// bottom up and store their sums only once they are complete, and panel
+// k reads x only below 16k+16, so the aliased call MulVec(x, x) is safe.
+func (p LowerPanels) MulVec(x, y []float64) {
+	if p.buf == nil {
+		p.m.LowerMulVec(x, y)
+		return
+	}
+	n := p.m.Rows
+	x, y = x[:n], y[:n]
+	for k := (n+15)/16 - 1; k >= 0; k-- {
+		i0, w := 16*k, 16*k+1
+		var acc [16]float64
+		dot1x16(x[:w], (*p.buf)[lowerPanelAt(k):lowerPanelAt(k+1)], &acc)
+		rows := min(16, n-i0)
+		for r := 1; r < rows; r++ {
+			i := i0 + r
+			s := acc[r]
+			for j, v := range p.m.Data[i*n+w : i*n+i+1] {
+				s += v * x[w+j]
+			}
+			acc[r] = s
+		}
+		copy(y[i0:i0+rows], acc[:rows])
+	}
+}
+
 // LowerMulMat computes Y = L X for the lower-triangular matrix L, where
 // X and Y are n x M — the batched sampling step Xi = V H of the ensemble
 // engine, one matrix-matrix product per VAR step instead of M LowerMulVec
@@ -174,10 +267,9 @@ func (m *Matrix) LowerMulVec(x, y []float64) {
 // zero-padded panels) or four (dot2x4, on X transposed so a member's
 // draws are contiguous along j), over the columns both rows have, with the
 // lower row's diagonal term added last. Rows are independent, so the
-// kernel parallelizes over row blocks deterministically. A single column
-// (one VAR chain) runs LowerMulVec instead, which does not pad the tile
-// with idle members: the kernel is chosen from the shape, the bits are
-// the same.
+// kernel parallelizes over row blocks deterministically. One VAR chain
+// does not come here: varm.SimulateBatch steps it on the factor packed
+// once for the run, LowerPanels.MulVec.
 func (m *Matrix) LowerMulMat(x, y *Matrix) {
 	n := m.Rows
 	if m.Cols != n {
@@ -188,10 +280,6 @@ func (m *Matrix) LowerMulMat(x, y *Matrix) {
 			n, n, x.Rows, x.Cols, y.Rows, y.Cols))
 	}
 	cols := x.Cols
-	if cols == 1 {
-		m.LowerMulVec(x.Data, y.Data)
-		return
-	}
 	buf := packPool.Get().(*[]float64)
 	defer putPack(buf)
 	// xp is X in the leaf's layout: member c's draw j at

@@ -64,3 +64,44 @@ done:
 	VMOVUPD Y3, 96(AX)
 	VZEROUPPER
 	RET
+
+// func dot1x16(x, pb []float64, acc *[16]float64)
+//
+// Y0-Y3 hold rows 0-3, 4-7, 8-11 and 12-15. Each step broadcasts x[j],
+// loads pb[16j:16j+16] and adds four rounded four-lane products onto the
+// accumulators.
+TEXT ·dot1x16(SB), NOSPLIT, $0-56
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	MOVQ pb_base+24(FP), DX
+	MOVQ acc+48(FP), AX
+	VMOVUPD 0(AX), Y0
+	VMOVUPD 32(AX), Y1
+	VMOVUPD 64(AX), Y2
+	VMOVUPD 96(AX), Y3
+	XORQ BX, BX
+	TESTQ CX, CX
+	JEQ  done
+
+loop:
+	VBROADCASTSD (SI)(BX*8), Y4
+	VMULPD       0(DX), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	VMULPD       32(DX), Y4, Y6
+	VADDPD       Y6, Y1, Y1
+	VMULPD       64(DX), Y4, Y7
+	VADDPD       Y7, Y2, Y2
+	VMULPD       96(DX), Y4, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ         $128, DX
+	INCQ         BX
+	CMPQ         BX, CX
+	JNE          loop
+
+done:
+	VMOVUPD Y0, 0(AX)
+	VMOVUPD Y1, 32(AX)
+	VMOVUPD Y2, 64(AX)
+	VMOVUPD Y3, 96(AX)
+	VZEROUPPER
+	RET

@@ -176,15 +176,16 @@ func Jitter(u *linalg.Matrix, eps float64) float64 {
 // in lockstep: a Dim x M state matrix (chain c in column c) advances with
 // one lower-triangular product xi = V eta per step, burnIn steps are
 // discarded, and emit receives every kept state matrix. It is the only VAR
-// recursion: one chain is the one-column case, for which LowerMulMat runs
-// the matrix-vector kernel. Chain c draws its innovations from rngs[c] in
-// ascending dimension order and LowerMulMat accumulates every column in
-// the same order, so column c of every emitted state matrix is bitwise
-// identical to a one-chain run on rngs[c]. emit receives the shared state
-// matrix, reused for the next step: copy (or fully consume) it before
-// returning. rngs[c] must not be touched by another goroutine while
-// SimulateBatch is inside a step, but emit may use it between steps (the
-// emulator draws each member's nugget noise there).
+// recursion: one chain is the one-column case, whose product runs on V
+// packed once for the run (linalg.LowerPanels; the pack costs about ten
+// packed steps, and the emulator's burn-in alone is 10P + 50). Chain c
+// draws its innovations from rngs[c] in ascending dimension order and both
+// products accumulate every column in the same order, so column c of every
+// emitted state matrix is bitwise identical to a one-chain run on rngs[c].
+// emit receives the shared state matrix, reused for the next step: copy
+// (or fully consume) it before returning. rngs[c] must not be touched by
+// another goroutine while SimulateBatch is inside a step, but emit may use
+// it between steps (the emulator draws each member's nugget noise there).
 func (m *Model) SimulateBatch(v *linalg.Matrix, rngs []*rand.Rand, burnIn, steps int, emit func(t int, states *linalg.Matrix)) {
 	if v.Rows != m.Dim || v.Cols != m.Dim {
 		panic(fmt.Sprintf("varm: factor is %dx%d, want %dx%d", v.Rows, v.Cols, m.Dim, m.Dim))
@@ -208,6 +209,11 @@ func (m *Model) SimulateBatch(v *linalg.Matrix, rngs []*rand.Rand, burnIn, steps
 	}
 	eta := linalg.NewMatrix(m.Dim, M)
 	state := linalg.NewMatrix(m.Dim, M)
+	var lower linalg.LowerPanels
+	if M == 1 {
+		lower = v.PackLower()
+		defer lower.Release()
+	}
 	for t := -burnIn; t < steps; t++ {
 		// Per chain, draw dimensions in ascending order, so a chain's
 		// NormFloat64 call sequence does not depend on its neighbours.
@@ -216,7 +222,11 @@ func (m *Model) SimulateBatch(v *linalg.Matrix, rngs []*rand.Rand, burnIn, steps
 				eta.Data[d*M+c] = rng.NormFloat64()
 			}
 		}
-		v.LowerMulMat(eta, state)
+		if M == 1 {
+			lower.MulVec(eta.Data, state.Data)
+		} else {
+			v.LowerMulMat(eta, state)
+		}
 		for p, phi := range phis {
 			s, prev := state.Data[:len(phi)], hist[p].Data[:len(phi)]
 			for i, f := range phi {
