@@ -42,11 +42,13 @@
 // fronts an archive (plus an optional model for live scenarios) with
 // the concurrent HTTP query API — full fields, point/box time series
 // and ensemble statistics — hardened by -max-inflight (503 shedding)
-// and -timeout:
+// and -timeout. It prints the address it bound (-addr 127.0.0.1:0 takes
+// a free port) and stops on SIGINT/SIGTERM after draining in-flight
+// requests:
 //
 //	exaclim info campaign.exa
 //	exaclim serve -archive campaign.exa -addr :8080 -max-inflight 64 -timeout 10s
-//	exaclim serve -archive campaign.exa -smoke "/v1/point?lat=30&lon=100" -smoke-n 32
+//	exaclim serve -archive campaign.exa -addr 127.0.0.1:0 -log-requests -
 package main
 
 import (
@@ -64,28 +66,21 @@ import (
 	"exaclim/internal/stats"
 )
 
+// subcommands maps each first argument to its runner; anything else
+// runs the train-and-emulate pipeline.
+var subcommands = map[string]func([]string){
+	"ensemble": runEnsemble,
+	"archive":  runArchive,
+	"replay":   runReplay,
+	"retrain":  runRetrain,
+	"info":     runInfo,
+	"serve":    runServe,
+}
+
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "ensemble":
-			runEnsemble(os.Args[2:])
-			return
-		case "archive":
-			runArchive(os.Args[2:])
-			return
-		case "replay":
-			runReplay(os.Args[2:])
-			return
-		case "retrain":
-			runRetrain(os.Args[2:])
-			return
-		case "info":
-			runInfo(os.Args[2:])
-			return
-		case "serve":
-			runServe(os.Args[2:])
-			return
-		}
+	if len(os.Args) > 1 && subcommands[os.Args[1]] != nil {
+		subcommands[os.Args[1]](os.Args[2:])
+		return
 	}
 	runPipeline()
 }
@@ -384,13 +379,7 @@ func runArchive(args []string) {
 
 	// Plan the band layout from the mean spectrum of a short probe
 	// emulation (member 0 under the training forcing).
-	probeN := *probe
-	if probeN > *cf.steps {
-		probeN = *cf.steps
-	}
-	if probeN < 1 {
-		probeN = 1
-	}
+	probeN := min(max(*probe, 1), *cf.steps) // validate ensured -steps >= 1
 	probeFields, err := model.Emulate(exaclim.MemberSeed(*cf.seed, 0, 0), *cf.t0, probeN)
 	if err != nil {
 		fatal(err)
@@ -539,13 +528,7 @@ func runReplay(args []string) {
 		n, elapsed, len(pairs), float64(n)/elapsed)
 
 	if *tShow >= 0 {
-		m0, s0 := *member, *scenario
-		if m0 < 0 {
-			m0 = 0
-		}
-		if s0 < 0 {
-			s0 = 0
-		}
+		m0, s0 := max(*member, 0), max(*scenario, 0)
 		f, err := r.ReadField(m0, s0, *tShow)
 		if err != nil {
 			fatal(err)

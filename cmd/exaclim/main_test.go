@@ -1,25 +1,39 @@
 package main
 
 import (
+	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
-// The CLI's end-to-end smoke test: build the real binary once, then run
-// the documented workflow in a temp dir — train/save, ensemble, archive,
-// info, replay, retrain, and serve one request — asserting each
-// subcommand exits 0 and prints its headline lines. Sizes are kept tiny
+// The CLI's end-to-end test: build the real binary once, then run the
+// documented workflow in a temp dir — train/save, ensemble, archive,
+// info, replay, retrain, and serve over HTTP — asserting each
+// subcommand exits 0 and prints its headline lines. Serve runs as a
+// real process on an ephemeral port (startServe in serve_cli_test.go),
+// one process per configuration. Sizes are kept tiny
 // (gridL=8, L=6, one training year) so the whole pipeline stays in the
 // seconds range.
 
 var cliBin struct {
 	once sync.Once
+	dir  string
 	path string
 	err  error
+}
+
+// TestMain removes the binary buildCLI leaves in its temp dir.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if cliBin.dir != "" {
+		os.RemoveAll(cliBin.dir)
+	}
+	os.Exit(code)
 }
 
 // buildCLI compiles the exaclim binary into a shared temp dir.
@@ -31,6 +45,7 @@ func buildCLI(t *testing.T) string {
 			cliBin.err = err
 			return
 		}
+		cliBin.dir = dir
 		bin := filepath.Join(dir, "exaclim")
 		cmd := exec.Command("go", "build", "-o", bin, ".")
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -103,30 +118,13 @@ func TestCLIEndToEnd(t *testing.T) {
 	out = run(t, bin, "retrain", "-archive", arch, "-L", "6", "-P", "1", "-emulate", "5")
 	expect(t, "retrain", out, "retrained: covariance 36x36", "emulated 5 steps")
 
-	// Serve: answer one field request plus a coalesced point-series
-	// burst through the HTTP API.
-	out = run(t, bin, "serve", "-archive", arch, "-smoke", "/v1/field?member=0&scenario=0&t=3")
-	expect(t, "serve", out, `"member":0`, `"t":3`, "smoke: 1 requests", "gzip: ")
-
-	out = run(t, bin, "serve", "-archive", arch,
-		"-smoke", "/v1/point?lat=30&lon=100&member=1&t0=0&t1=12", "-smoke-n", "16")
-	expect(t, "serve point", out, `"values":[`, "smoke: 16 requests")
-
-	// The raw float32 field path, gzip round-tripped by the smoke probe.
-	out = run(t, bin, "serve", "-archive", arch,
-		"-smoke", "/v1/field?member=0&scenario=0&t=3&format=f32")
-	expect(t, "serve f32", out, "bytes)", "gzip: ")
-
-	// Batched multi-point series.
-	out = run(t, bin, "serve", "-archive", arch,
-		"-smoke", "/v1/points?lat=10,20&lon=30,40&t0=0&t1=12")
-	expect(t, "serve points", out, `"series":[[`, "smoke: 1 requests")
-
-	// Serve with live scenarios: scenario 1 does not exist in the
-	// archive and is emulated on demand from the model.
-	out = run(t, bin, "serve", "-archive", arch, "-load", model, "-live", "1",
-		"-smoke", "/v1/field?member=0&scenario=1&t=2")
-	expect(t, "serve live", out, `"scenario":1`, "1 live")
+	// Serve the archive with request logging and full tracing, then the
+	// same archive plus one live scenario emulated from the model.
+	checkServe(t, bin, arch)
+	base, stop := startServe(t, bin, "-archive", arch, "-load", model, "-live", "1")
+	_, body := mustFetch(t, base+"/v1/field?member=0&scenario=1&t=2")
+	checkField(t, body, 0, 1, 2)
+	stopServe(t, base, stop, "1 live")
 }
 
 // TestCLIMultiScenario drives the scenario-aware forcing workflow end
@@ -167,13 +165,18 @@ func TestCLIMultiScenario(t *testing.T) {
 	// Serve what-if scenarios: the sidecar's pathways become live
 	// scenarios 2 and 3 (after the archive's 0 and 1), emulated under
 	// per-scenario forcing, with hardening flags in force.
-	out = run(t, bin, "serve", "-archive", arch, "-load", refit, "-live-rf", rfFile,
-		"-max-inflight", "8", "-timeout", "30s",
-		"-smoke", "/v1/field?member=0&scenario=3&t=2")
-	expect(t, "serve what-if", out, "loaded 2 what-if pathways", "2 live", `"scenario":3`)
-	out = run(t, bin, "serve", "-archive", arch, "-load", refit, "-live-rf", rfFile,
-		"-smoke", "/v1/info")
-	expect(t, "serve what-if info", out, `"live_pathways":["training-forcing","stabilization"]`)
+	base, stop := startServe(t, bin, "-archive", arch, "-load", refit, "-live-rf", rfFile,
+		"-max-inflight", "8", "-timeout", "30s")
+	_, body := mustFetch(t, base+"/v1/field?member=0&scenario=3&t=2")
+	checkField(t, body, 0, 3, 2)
+	var info struct {
+		LivePathways []string `json:"live_pathways"`
+	}
+	getJSON(t, base+"/v1/info", &info)
+	if got := strings.Join(info.LivePathways, ","); got != "training-forcing,stabilization" {
+		t.Fatalf("/v1/info live_pathways %q, want training-forcing,stabilization", got)
+	}
+	stopServe(t, base, stop, "loaded 2 what-if pathways", "2 live")
 }
 
 // TestCLIErrors pins the failure surface: bad inputs exit nonzero with
@@ -183,18 +186,32 @@ func TestCLIErrors(t *testing.T) {
 		t.Skip("builds the CLI")
 	}
 	bin := buildCLI(t)
-	for _, args := range [][]string{
-		{"info", filepath.Join(t.TempDir(), "missing.exa")},
-		{"serve", "-archive", filepath.Join(t.TempDir(), "missing.exa"), "-smoke", "/healthz"},
-		{"ensemble", "-members", "0"},
+	dir := t.TempDir()
+	arch := filepath.Join(dir, "tiny.exa")
+	run(t, bin, "archive", "-gridL", "8", "-L", "6", "-years", "1", "-P", "1",
+		"-members", "1", "-steps", "2", "-out", arch)
+	// An address this test already listens on: serve must fail to bind
+	// rather than run.
+	held := listenLoopback(t)
+	defer held.Close()
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"info", filepath.Join(dir, "missing.exa")}, "exaclim:"},
+		{[]string{"serve", "-archive", filepath.Join(dir, "missing.exa")}, "exaclim:"},
+		{[]string{"serve", "-archive", arch, "-addr", held.Addr().String()}, "exaclim: listen tcp"},
+		{[]string{"ensemble", "-members", "0"}, "exaclim:"},
 	} {
-		cmd := exec.Command(bin, args...)
-		out, err := cmd.CombinedOutput()
+		// A serve that wrongly starts is killed instead of hanging the test.
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		out, err := exec.CommandContext(ctx, bin, c.args...).CombinedOutput()
+		cancel()
 		if err == nil {
-			t.Errorf("exaclim %s succeeded, want failure:\n%s", strings.Join(args, " "), out)
+			t.Errorf("exaclim %s succeeded, want failure:\n%s", strings.Join(c.args, " "), out)
 		}
-		if !strings.Contains(string(out), "exaclim:") {
-			t.Errorf("exaclim %s: no diagnostic printed:\n%s", strings.Join(args, " "), out)
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("exaclim %s: output lacks %q:\n%s", strings.Join(c.args, " "), c.want, out)
 		}
 	}
 }

@@ -1,21 +1,19 @@
 package main
 
 import (
-	"bytes"
-	"compress/gzip"
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"sort"
+	"os/signal"
 	"sync"
+	"syscall"
 	"time"
 
 	"exaclim"
-	"exaclim/internal/obs"
 )
 
 // runServe fronts an archive (and optionally a trained model for live
@@ -24,10 +22,11 @@ import (
 //	exaclim serve -archive campaign.exa -addr :8080
 //	exaclim serve -archive campaign.exa -load model.gob -live 2
 //
-// The -smoke mode is the CI load probe: it binds an ephemeral port,
-// issues -smoke-n concurrent in-process requests for the given path,
-// prints the first response and the server's cache/coalescing counters,
-// and exits — one command proving the whole serve path end to end.
+// It listens on -addr and prints the bound address, so -addr
+// 127.0.0.1:0 picks a free port. SIGINT or SIGTERM stops it: the
+// listener closes, in-flight requests drain for up to drainTimeout,
+// the archive closes, and the process exits 0 (non-zero when the drain
+// misses its deadline).
 func runServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var (
@@ -48,8 +47,6 @@ func runServe(args []string) {
 		traceRate = fs.Float64("trace-sample", 0, "fraction of requests traced head-sampled in [0,1]; sampled spans are kept in the in-memory trace store")
 		slowMS    = fs.Int("slow-ms", 0, "capture and log any request slower than this many milliseconds, sampled or not (0 = off)")
 		traceDbg  = fs.Bool("trace-debug", false, "mount the trace store on /debug/traces (admin surface; keep off public listeners)")
-		smoke     = fs.String("smoke", "", "issue one-shot requests for this path (e.g. /v1/field?t=3), print, exit")
-		smokeN    = fs.Int("smoke-n", 1, "concurrent requests issued in -smoke mode")
 	)
 	fs.Parse(args)
 
@@ -57,7 +54,6 @@ func runServe(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	defer r.Close()
 	var model *exaclim.Model
 	if *loadPath != "" {
 		model = loadModel(*loadPath)
@@ -123,11 +119,16 @@ func runServe(args []string) {
 	fmt.Printf("serving %s: grid %v, L=%d, %d members x %d scenarios (%d live) x %d steps\n",
 		*path, h.Grid, h.L, h.Members, h.Scenarios, *live, h.Steps)
 
-	if *smoke != "" {
-		runServeSmoke(srv, *smoke, *smokeN, h.Steps)
-		return
+	// Catch the stop signals before the address is printed, so a
+	// supervisor that signals on that line always gets a drain. Once
+	// one arrives, a second gets the default action: exit at once.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
 	}
-	endpoints := "/v1/info /v1/field /v1/point /v1/box /v1/stats /healthz /readyz"
+	endpoints := "/v1/info /v1/field /v1/point /v1/points /v1/box /v1/stats /healthz /readyz"
 	if *metrics {
 		endpoints += " /metrics"
 	}
@@ -137,230 +138,95 @@ func runServe(args []string) {
 	if *traceDbg {
 		endpoints += " /debug/traces"
 	}
-	fmt.Printf("listening on %s (endpoints: %s)\n", *addr, endpoints)
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	fmt.Printf("listening on %s (endpoints: %s)\n", ln.Addr(), endpoints)
+	err = serveUntil(ctx, newHTTPServer(srv.Handler()), ln)
+	if cerr := r.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		fatal(err)
+	}
+	fmt.Println("stopped: in-flight requests drained")
+}
+
+// Connection limits of the one http.Server. WriteTimeout stays unset:
+// -timeout already bounds each handler, and a long series body streams
+// for as long as the client takes to read it.
+const (
+	// readHeaderTimeout frees a connection whose client never finishes
+	// its request headers.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections left unused this long.
+	idleTimeout = 2 * time.Minute
+	// maxHeaderBytes caps the request line plus headers. Queries travel
+	// in the URL, and a /v1/points request of 4096 full-precision
+	// locations is about 200 KiB of it, so this stays at Go's 1 MiB.
+	maxHeaderBytes = 1 << 20
+	// drainTimeout bounds how long a stop signal waits for in-flight
+	// requests before the process gives up and exits non-zero.
+	drainTimeout = 30 * time.Second
+)
+
+// newHTTPServer wraps h in the server every serve run listens with.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
 }
 
-// runServeSmoke binds an ephemeral loopback port, fires n concurrent
-// requests at the path, prints the first body (truncated) and the
-// serving counters, then probes a multi-step /v1/points series (the
-// batched chunk decode path) and the gzip/metrics surfaces, and returns.
-func runServeSmoke(srv *exaclim.Server, path string, n, steps int) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	defer hs.Close()
-	if n < 1 {
-		n = 1
-	}
-	url := "http://" + ln.Addr().String() + path
-	bodies := make([][]byte, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Get(url)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				body, _ := io.ReadAll(resp.Body)
-				errs[i] = fmt.Errorf("GET %s: %s: %s", path, resp.Status, body)
-				return
-			}
-			bodies[i], errs[i] = io.ReadAll(resp.Body)
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	for _, err := range errs {
-		if err != nil {
-			fatal(err)
+// serveUntil serves hs on ln until ctx is done, then stops accepting
+// and drains in-flight requests under drainTimeout. A connection that
+// has not delivered a complete request when the drain begins is closed,
+// like a dial after it; Shutdown would otherwise wait up to 5 s on each
+// such connection, e.g. a client's spare pre-dialed one. serveUntil
+// installs its own hs.ConnState that calls any hook already set. It
+// returns nil after a complete drain, the drain's error when the
+// deadline passes first, and Serve's error when serving fails before
+// ctx is done.
+func serveUntil(ctx context.Context, hs *http.Server, ln net.Listener) error {
+	var (
+		mu       sync.Mutex
+		fresh    = map[net.Conn]bool{} // connections still in StateNew
+		draining bool
+	)
+	hook := hs.ConnState
+	hs.ConnState = func(c net.Conn, s http.ConnState) {
+		mu.Lock()
+		switch {
+		case s != http.StateNew:
+			delete(fresh, c)
+		case draining:
+			c.Close()
+		default:
+			fresh[c] = true
+		}
+		mu.Unlock()
+		if hook != nil {
+			hook(c, s)
 		}
 	}
-	body := bodies[0]
-	const maxShow = 512
-	if len(body) > maxShow {
-		fmt.Printf("%s... (%d bytes)\n", body[:maxShow], len(body))
-	} else {
-		fmt.Printf("%s", body)
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
 	}
-	st := srv.Stats()
-	fmt.Printf("smoke: %d requests in %.3fs (%.0f req/s)\n", n, elapsed, float64(n)/elapsed)
-	fmt.Printf("cache: %d loads, %d hits, %d coalesced, %d misses, %d entries (%.1f KB)\n",
-		st.FieldLoads+st.LiveLoads, st.Cache.Hits, st.Cache.Coalesced, st.Cache.Misses,
-		st.Cache.Entries, float64(st.Cache.Bytes)/1e3)
-
-	// Gzip round-trip over the same listener: the compressed body must
-	// decompress to exactly the identity body. The transport's own
-	// decompression is disabled so the header and the gunzip are really
-	// exercised, not silently handled by net/http.
-	req, err := http.NewRequest("GET", url, nil)
+	mu.Lock()
+	draining = true
+	for c := range fresh {
+		c.Close()
+	}
+	mu.Unlock()
+	drain, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	err := hs.Shutdown(drain)
+	<-served // http.ErrServerClosed: Shutdown closed the listener first
 	if err != nil {
-		fatal(err)
+		return fmt.Errorf("drain: %w", err)
 	}
-	req.Header.Set("Accept-Encoding", "gzip")
-	client := &http.Client{Transport: &http.Transport{DisableCompression: true}}
-	resp, err := client.Do(req)
-	if err != nil {
-		fatal(fmt.Errorf("smoke gzip: %w", err))
-	}
-	compressed, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		fatal(fmt.Errorf("smoke gzip: %w", err))
-	}
-	if ce := resp.Header.Get("Content-Encoding"); ce != "gzip" {
-		fatal(fmt.Errorf("smoke gzip: Content-Encoding %q, want gzip", ce))
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(compressed))
-	if err != nil {
-		fatal(fmt.Errorf("smoke gzip: %w", err))
-	}
-	plain, err := io.ReadAll(zr)
-	if err != nil {
-		fatal(fmt.Errorf("smoke gzip: %w", err))
-	}
-	if !bytes.Equal(plain, body) {
-		fatal(fmt.Errorf("smoke gzip: decompressed body (%d bytes) differs from identity body (%d bytes)",
-			len(plain), len(body)))
-	}
-	fmt.Printf("gzip: %d -> %d bytes (%.2fx)\n", len(body), len(compressed),
-		float64(len(body))/float64(len(compressed)))
-
-	// Multi-step series probe: a two-point /v1/points query spanning
-	// several steps exercises the chunk-granular batch decode end to
-	// end (ReadPackedBlocks under the series endpoints), whatever path
-	// the -smoke flag asked for.
-	t1 := steps
-	if t1 > 12 {
-		t1 = 12
-	}
-	seriesURL := fmt.Sprintf(
-		"http://%s/v1/points?lat=12.5,-48&lon=30,210.5&t0=0&t1=%d", ln.Addr().String(), t1)
-	resp0, err := http.Get(seriesURL)
-	if err != nil {
-		fatal(fmt.Errorf("smoke series: %w", err))
-	}
-	seriesBody, err := io.ReadAll(resp0.Body)
-	resp0.Body.Close()
-	if err != nil {
-		fatal(fmt.Errorf("smoke series: %w", err))
-	}
-	if resp0.StatusCode != http.StatusOK {
-		fatal(fmt.Errorf("smoke series: %s: %s", resp0.Status, seriesBody))
-	}
-	var pts struct {
-		Series [][]float64 `json:"series"`
-	}
-	if err := json.Unmarshal(seriesBody, &pts); err != nil {
-		fatal(fmt.Errorf("smoke series: bad JSON: %w", err))
-	}
-	if len(pts.Series) != 2 {
-		fatal(fmt.Errorf("smoke series: got %d series, want 2", len(pts.Series)))
-	}
-	for i, s := range pts.Series {
-		if len(s) != t1 {
-			fatal(fmt.Errorf("smoke series %d: got %d values, want %d", i, len(s), t1))
-		}
-	}
-	ast := srv.Stats().Archive
-	fmt.Printf("series: 2 points x %d steps ok (archive decodes %d, chunk amortized %d)\n",
-		t1, ast.StepDecodes, ast.ChunkAmortized)
-
-	// One-shot operator visibility: the full stats snapshot, then a
-	// real scrape of /readyz and /metrics through the listener — the
-	// same surfaces Prometheus and an orchestrator would hit — with the
-	// exposition parsed and verified, not just fetched.
-	stJSON, err := json.Marshal(st)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("stats: %s\n", stJSON)
-	base := "http://" + ln.Addr().String()
-	resp, err = http.Get(base + "/readyz")
-	if err != nil {
-		fatal(err)
-	}
-	ready, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	fmt.Printf("readyz: %d %s", resp.StatusCode, ready)
-	if srv.Metrics() == nil {
-		fmt.Println("metrics: disabled")
-		return
-	}
-	resp, err = http.Get(base + "/metrics")
-	if err != nil {
-		fatal(err)
-	}
-	fams, err := obs.ParseText(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		fatal(fmt.Errorf("smoke: /metrics exposition invalid: %w", err))
-	}
-	for _, name := range []string{
-		"exaclim_http_requests_total", "exaclim_http_request_duration_seconds",
-		"exaclim_requests_total", "exaclim_cache_hits_total",
-		"exaclim_field_loads_total", "exaclim_goroutines",
-	} {
-		if fams[name] == nil {
-			fatal(fmt.Errorf("smoke: /metrics missing family %s", name))
-		}
-	}
-	if err := obs.CheckHistogram(fams["exaclim_http_request_duration_seconds"]); err != nil {
-		fatal(fmt.Errorf("smoke: %w", err))
-	}
-	samples := 0
-	for _, f := range fams {
-		samples += len(f.Samples)
-	}
-	fmt.Printf("metrics: %d families, %d samples, exposition verified\n", len(fams), samples)
-
-	// Per-stage latency attribution: the smoke requests above ran through
-	// the instrumented handler, so the stage histogram must exist and
-	// must have recorded at least the encode stage (every successful
-	// response encodes). Print p50/p99 per stage from this server's own
-	// exposition — the same numbers a dashboard would derive.
-	stageFam := fams["exaclim_stage_duration_seconds"]
-	if stageFam == nil {
-		fatal(fmt.Errorf("smoke: /metrics missing family exaclim_stage_duration_seconds"))
-	}
-	if err := obs.CheckHistogram(stageFam); err != nil {
-		fatal(fmt.Errorf("smoke: %w", err))
-	}
-	stages := map[string]bool{}
-	for _, s := range stageFam.Samples {
-		if st := s.Labels["stage"]; st != "" {
-			stages[st] = true
-		}
-	}
-	if !stages["encode"] {
-		fatal(fmt.Errorf("smoke: stage histogram recorded no encode stage (stages seen: %v)", stages))
-	}
-	names := make([]string, 0, len(stages))
-	for st := range stages {
-		names = append(names, st)
-	}
-	sort.Strings(names)
-	for _, st := range names {
-		p50, err := obs.HistogramQuantile(stageFam, map[string]string{"stage": st}, 0.5)
-		if err != nil {
-			fatal(fmt.Errorf("smoke: stage %s p50: %w", st, err))
-		}
-		p99, err := obs.HistogramQuantile(stageFam, map[string]string{"stage": st}, 0.99)
-		if err != nil {
-			fatal(fmt.Errorf("smoke: stage %s p99: %w", st, err))
-		}
-		fmt.Printf("stage %-10s p50 %8.3fms  p99 %8.3fms\n", st, p50*1e3, p99*1e3)
-	}
+	return nil
 }
