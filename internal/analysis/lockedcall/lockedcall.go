@@ -21,7 +21,14 @@
 //     span finalization stamps clocks and appends to the parent's child
 //     list, and store publication takes the stripe lock, so tracing
 //     under a shard lock adds the tracer's latency to the critical
-//     section exactly where contention hurts most.
+//     section exactly where contention hurts most;
+//   - response body encoding (encoding/json Marshal and Encoder.Encode,
+//     compress/gzip and compress/flate writer constructors and methods,
+//     and the serve tier's body helpers encodeBody, gzipBody and the
+//     fill fieldBody that calls them): a
+//     field body is O(grid) of formatting and deflate, milliseconds at
+//     L = 64, so a fill under the shard lock that keeps it would
+//     serialize the whole shard behind one encode.
 //
 // The fieldCache's getOrLoad documents the intended shape: register a
 // flight under the lock, run the load with the lock released, publish
@@ -50,8 +57,8 @@ var pkgs string
 var Analyzer = &analysis.Analyzer{
 	Name: "lockedcall",
 	Doc: "forbid SHT synthesis, chunk decode, ResponseWriter writes, metric observation, " +
-		"request logging, and trace operations while holding a mutex (the single-flight " +
-		"invariant: heavy work runs outside the lock)",
+		"request logging, trace operations, and response body encoding while holding a mutex " +
+		"(the single-flight invariant: heavy work runs outside the lock)",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -94,6 +101,44 @@ var obsNames = map[string]bool{
 // touch the span tree.
 var traceNames = map[string]bool{
 	"beginStage": true, "recordStage": true,
+}
+
+// bodyNames lists the serve tier's response-body encoders and the fill
+// that runs them, forbidden under a lock by name.
+var bodyNames = map[string]bool{
+	"encodeBody": true, "gzipBody": true, "fieldBody": true,
+}
+
+// encoderFuncs lists the standard-library package-level functions that
+// encode a response body.
+var encoderFuncs = map[string]map[string]bool{
+	"encoding/json":  {"Marshal": true, "MarshalIndent": true},
+	"compress/gzip":  {"NewWriter": true, "NewWriterLevel": true},
+	"compress/flate": {"NewWriter": true, "NewWriterDict": true},
+}
+
+// bodyEncoding reports whether sel is standard-library body encoding:
+// one of encoderFuncs, json.Encoder.Encode, or any method of a
+// compress/gzip or compress/flate Writer.
+func bodyEncoding(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
+	if p := scope.ImportedPkg(pass, sel.X); p != "" {
+		return encoderFuncs[p][sel.Sel.Name]
+	}
+	t := pass.TypesInfo.TypeOf(sel.X)
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	switch path, name := named.Obj().Pkg().Path(), named.Obj().Name(); path {
+	case "compress/gzip", "compress/flate":
+		return name == "Writer"
+	case "encoding/json":
+		return name == "Encoder" && sel.Sel.Name == "Encode"
+	}
+	return false
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
@@ -343,6 +388,9 @@ func heavyCall(pass *analysis.Pass, call *ast.CallExpr, rw *types.Interface) (na
 		if heavyNames[sel] {
 			return exprString(pass, fun), "chunk I/O or decode"
 		}
+		if bodyNames[sel] || bodyEncoding(pass, fun) {
+			return exprString(pass, fun), "response body encoding"
+		}
 	case *ast.Ident:
 		if obsNames[fun.Name] {
 			return fun.Name, "metric observation or request logging"
@@ -352,6 +400,9 @@ func heavyCall(pass *analysis.Pass, call *ast.CallExpr, rw *types.Interface) (na
 		}
 		if heavyNames[fun.Name] {
 			return fun.Name, "chunk I/O or decode"
+		}
+		if bodyNames[fun.Name] {
+			return fun.Name, "response body encoding"
 		}
 	}
 	// Any call handing a ResponseWriter onward (http.Error, writeJSON)

@@ -3,7 +3,11 @@
 package serve
 
 import (
+	"compress/flate"
+	"compress/gzip"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"sync"
 
@@ -21,6 +25,7 @@ type handler struct {
 	sink    obs.Sink
 	span    *trace.Span
 	traces  *trace.Store
+	body    []byte
 }
 
 // A detached context escapes the request's timeout/shedding layer.
@@ -181,4 +186,47 @@ func (h *handler) goodTraceAfterUnlock(tr *trace.Trace) {
 func (h *handler) badRootSpan() {
 	_, sp := trace.New("detached", trace.Options{}) // want:ctxflow "trace.New outside middleware.go"
 	sp.End()
+}
+
+func encodeBody(data []float64) []byte { return nil }
+
+func gzipBody(identity []byte) []byte { return identity }
+
+// Encoding a response body is O(grid) of formatting and deflate: a fill
+// under the shard lock serializes the shard behind it.
+func (h *handler) badEncodeUnderLock(w io.Writer, zw *gzip.Writer, fw *flate.Writer) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	b, _ := json.Marshal(h.data)      // want:lockedcall "json.Marshal .response body encoding."
+	json.NewEncoder(w).Encode(h.data) // want:lockedcall "Encode .response body encoding."
+	zw.Write(b)                       // want:lockedcall "zw.Write .response body encoding."
+	zw.Close()                        // want:lockedcall "zw.Close .response body encoding."
+	fw.Flush()                        // want:lockedcall "fw.Flush .response body encoding."
+	_ = gzip.NewWriter(w)             // want:lockedcall "gzip.NewWriter .response body encoding."
+	h.body = encodeBody(h.data)       // want:lockedcall "encodeBody .response body encoding."
+	h.body = gzipBody(b)              // want:lockedcall "gzipBody .response body encoding."
+	_ = h.keepBody(gzipBody(h.body))  // want:lockedcall "gzipBody .response body encoding."
+	h.body = h.fieldBody()            // want:lockedcall "h.fieldBody .response body encoding."
+}
+
+func (h *handler) fieldBody() []byte { return gzipBody(encodeBody(h.data)) }
+
+func (h *handler) keepBody(b []byte) []byte { return b }
+
+// The kept-body shape: read the grid under the lock, encode outside it,
+// store the finished bytes under it again. Decoding JSON and reading a
+// gzip stream are not body encoding.
+func (h *handler) goodEncodeThenKeep(zw *gzip.Writer, zr *gzip.Reader) {
+	h.mu.Lock()
+	data := h.data
+	h.mu.Unlock()
+	b, _ := json.Marshal(data)
+	zw.Write(b)
+	zw.Close()
+	body := gzipBody(encodeBody(data))
+	h.mu.Lock()
+	h.body = h.keepBody(body)
+	_ = json.Unmarshal(b, &h.data)
+	zr.Close()
+	h.mu.Unlock()
 }

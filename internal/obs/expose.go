@@ -188,8 +188,9 @@ type ParsedFamily struct {
 }
 
 // ParseText parses Prometheus text exposition output into families,
-// validating the grammar strictly enough for golden tests and smoke
-// probes: every sample must follow a TYPE line for its family, sample
+// validating the grammar strictly enough for its callers — the obs and
+// serve tests, cmd/exaclim's process tests and the benchmark's traced
+// run: every sample must follow a TYPE line for its family, sample
 // names must match the declared family (modulo histogram suffixes),
 // and values must parse. It is the verification half of WriteText, not
 // a general scrape client.

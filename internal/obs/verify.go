@@ -11,9 +11,9 @@ import (
 // CheckHistogram verifies the cumulative-bucket invariants of one
 // parsed histogram family: per series, ascending le bounds, monotone
 // non-decreasing cumulative counts, a +Inf bucket, and _count equal to
-// the +Inf bucket. Golden tests and smoke probes use it as the
-// structural half of exposition verification (ParseText being the
-// grammatical half).
+// the +Inf bucket. It is the structural half of exposition verification
+// (ParseText being the grammatical half), used by the obs and serve
+// tests, cmd/exaclim's process tests and the benchmark's traced run.
 func CheckHistogram(f *ParsedFamily) error {
 	if f == nil {
 		return fmt.Errorf("obs: nil histogram family")
@@ -89,8 +89,8 @@ func CheckHistogram(f *ParsedFamily) error {
 // for the stage-duration family, {"stage": name}). It interpolates
 // linearly within the winning bucket, Prometheus histogram_quantile
 // style, and reports the highest finite bound when the quantile lands
-// in the +Inf bucket. Smoke probes use it to print per-stage p50/p99
-// from their own /metrics scrape.
+// in the +Inf bucket. The obs and serve tests and cmd/exaclim's process
+// tests use it to read per-stage p50/p99 from a /metrics scrape.
 func HistogramQuantile(f *ParsedFamily, match map[string]string, q float64) (float64, error) {
 	if f == nil || f.Type != typeHistogram {
 		return 0, fmt.Errorf("obs: HistogramQuantile needs a histogram family")

@@ -16,8 +16,12 @@ import (
 //
 // Values are shared read-only float64 slices: callers must not mutate
 // what Get returns. That is what makes a cache hit byte-identical to the
-// uncached read — the loader's slice is handed to every requester as-is,
-// the JSON and the float32 response writer alike.
+// uncached read — the loader's slice is handed to every requester as-is.
+//
+// Beside its grid an entry keeps the finished /v1/field response bodies
+// it has been asked for (body, keepBody), so a resident field is encoded
+// at most once per body form. Bodies count toward the shard's byte
+// budget and leave with their grid.
 type fieldCache struct {
 	shards []cacheShard
 	mask   uint64
@@ -45,11 +49,43 @@ func (k cacheKey) hash() uint64 {
 	return h * 0x9e3779b97f4a7c15
 }
 
+// bodyForm names one of the four /v1/field response bodies: the format
+// (JSON or raw float32) crossed with the content encoding (identity or
+// gzip). Bit 0 is the gzip bit, so form&^1 is a gzip form's identity
+// twin.
+type bodyForm uint8
+
+const (
+	bodyJSON bodyForm = iota
+	bodyJSONGzip
+	bodyF32
+	bodyF32Gzip
+	bodyForms // the number of forms
+)
+
+// gzipped reports whether the form is gzip-compressed.
+func (f bodyForm) gzipped() bool { return f&1 != 0 }
+
+// identity returns the uncompressed form the gzip form compresses.
+func (f bodyForm) identity() bodyForm { return f &^ 1 }
+
 // cacheEntry is one resident field, a node of its shard's LRU list.
+// bodies is guarded by the shard lock; val is immutable.
 type cacheEntry struct {
 	key        cacheKey
 	val        []float64
+	bodies     [bodyForms][]byte
 	prev, next *cacheEntry
+}
+
+// size is the entry's charge against its shard: 8 bytes per float64
+// value plus the length of every body it keeps.
+func (e *cacheEntry) size() int64 {
+	n := int64(len(e.val)) * 8
+	for _, b := range e.bodies {
+		n += int64(len(b))
+	}
+	return n
 }
 
 // flight is one in-progress load; waiters block on done.
@@ -121,23 +157,28 @@ func (sh *cacheShard) pushFront(e *cacheEntry) {
 }
 
 // insert adds a loaded value and evicts from the cold end until the
-// shard fits its capacity (8 bytes per float64 value). Called with the
-// shard lock held.
+// shard fits its capacity. Called with the shard lock held.
 func (sh *cacheShard) insert(c *fieldCache, key cacheKey, val []float64) {
 	if old, ok := sh.entries[key]; ok {
-		sh.bytes -= int64(len(old.val)) * 8
+		sh.bytes -= old.size()
 		old.unlink()
 		delete(sh.entries, key)
 	}
 	e := &cacheEntry{key: key, val: val}
 	sh.entries[key] = e
 	sh.pushFront(e)
-	sh.bytes += int64(len(val)) * 8
+	sh.bytes += e.size()
+	sh.fit(c)
+}
+
+// fit evicts from the cold end, grid and bodies together, until the
+// shard is within its capacity. Called with the shard lock held.
+func (sh *cacheShard) fit(c *fieldCache) {
 	for sh.bytes > sh.capacity && sh.sentinel.prev != &sh.sentinel {
 		cold := sh.sentinel.prev
 		cold.unlink()
 		delete(sh.entries, cold.key)
-		sh.bytes -= int64(len(cold.val)) * 8
+		sh.bytes -= cold.size()
 		c.evictions.Add(1)
 	}
 }
@@ -225,6 +266,43 @@ func (c *fieldCache) add(key cacheKey, val []float64) {
 	sh.mu.Unlock()
 }
 
+// body returns the resident field's stored body of form f, or nil when
+// the field is not resident or that form has not been kept yet.
+func (c *fieldCache) body(key cacheKey, f bodyForm) []byte {
+	sh := c.shard(key)
+	sh.mu.Lock()
+	var b []byte
+	if e, ok := sh.entries[key]; ok {
+		b = e.bodies[f]
+	}
+	sh.mu.Unlock()
+	return b
+}
+
+// keepBody stores b as the resident field's body of form f, charges its
+// length to the shard and evicts from the cold end as insert does. It
+// returns the body to send: the one already stored when a racing
+// request kept the same form first (encoding is deterministic, so the
+// two are equal and the bytes are counted once), else b. A body whose
+// field is no longer resident is not kept. Encoding happens before the
+// call, outside the lock.
+func (c *fieldCache) keepBody(key cacheKey, f bodyForm, b []byte) []byte {
+	sh := c.shard(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := sh.entries[key]
+	if !ok {
+		return b
+	}
+	if kept := e.bodies[f]; kept != nil {
+		return kept
+	}
+	e.bodies[f] = b
+	sh.bytes += int64(len(b))
+	sh.fit(c)
+	return b
+}
+
 // CacheStats is a point-in-time counter snapshot.
 type CacheStats struct {
 	// Hits counts requests answered from resident entries.
@@ -236,7 +314,8 @@ type CacheStats struct {
 	Coalesced int64
 	// Evictions counts entries dropped by the LRU capacity bound.
 	Evictions int64
-	// Bytes and Entries size the resident set.
+	// Bytes and Entries size the resident set: grids at 8 bytes a
+	// value plus every kept response body.
 	Bytes   int64
 	Entries int
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"compress/gzip"
 	"context"
 	"encoding/binary"
@@ -26,8 +27,9 @@ import (
 //	/debug/traces                         captured span trees, newest first
 //	                                      (Config.EnableTraceDebug only)
 //	/v1/info                              archive + server metadata, cache stats
-//	/v1/field?member=&scenario=&t=        full field; &format=f32 streams raw
-//	                                      little-endian float32 (row-major)
+//	/v1/field?member=&scenario=&t=        full field; &format=f32 answers raw
+//	                                      little-endian float32 (row-major),
+//	                                      &format=json (the default) JSON
 //	/v1/point?member=&scenario=&lat=&lon=&t0=&t1=   point time series
 //	/v1/points?member=&scenario=&lat=&lon=&t0=&t1=  multi-point series; lat and
 //	                                      lon are comma-separated lists
@@ -36,10 +38,12 @@ import (
 //
 // t1 defaults to the scenario's step count; t0 defaults to 0.
 //
-// Responses compress with gzip when the request carries
-// Accept-Encoding: gzip — grid-sized JSON bodies shrink several-fold,
-// and the writers are pooled so compression adds no per-request
-// allocation of its 256 KiB state.
+// Responses compress with gzip when the request's Accept-Encoding admits
+// it (a gzip token with a non-zero q) — grid-sized JSON bodies shrink
+// several-fold, and the writers are pooled so compression adds no
+// per-request allocation of its 256 KiB state. A resident field's bodies
+// are encoded once and kept in its cache entry (fieldBody), so a hot
+// /v1/field answer is one write of finished bytes.
 
 // FieldResponse is the JSON body of /v1/field.
 type FieldResponse struct {
@@ -282,14 +286,51 @@ var gzipPool = sync.Pool{
 	},
 }
 
+// acceptsGzip reports whether an Accept-Encoding header admits gzip: a
+// gzip (or x-gzip) token, or failing one a "*" token, whose q-value is
+// not zero. A q-value that does not parse refuses the coding; identity
+// is always acceptable, so refusing is the safe reading.
+func acceptsGzip(header string) bool {
+	star := false
+	for header != "" {
+		var tok string
+		tok, header, _ = strings.Cut(header, ",")
+		coding, params, _ := strings.Cut(tok, ";")
+		switch coding = strings.TrimSpace(coding); {
+		case strings.EqualFold(coding, "gzip"), strings.EqualFold(coding, "x-gzip"):
+			return qNonZero(params)
+		case coding == "*":
+			star = qNonZero(params)
+		}
+	}
+	return star
+}
+
+// qNonZero reports whether a coding's parameters leave its q-value above
+// zero (absent q means 1).
+func qNonZero(params string) bool {
+	for params != "" {
+		var p string
+		p, params, _ = strings.Cut(params, ";")
+		k, v, _ := strings.Cut(p, "=")
+		if strings.EqualFold(strings.TrimSpace(k), "q") {
+			q, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+			return err == nil && q > 0
+		}
+	}
+	return true
+}
+
 // compressResponse returns the writer the response body should go
 // through: a pooled gzip writer when the client accepts gzip, else w
 // itself. done must be called exactly once after the body is fully
 // written — it flushes the gzip footer and returns the writer to the
 // pool. Decompressed bytes are byte-identical to the uncompressed
-// response (pinned by the round-trip test over a real listener).
+// response (pinned by the round-trip test over a real listener). The
+// response varies on Accept-Encoding either way, and says so to caches.
 func compressResponse(w http.ResponseWriter, r *http.Request) (body io.Writer, done func()) {
-	if !strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+	w.Header().Set("Vary", "Accept-Encoding")
+	if !acceptsGzip(r.Header.Get("Accept-Encoding")) {
 		return w, func() {}
 	}
 	w.Header().Set("Content-Encoding", "gzip")
@@ -316,51 +357,84 @@ func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
 	json.NewEncoder(body).Encode(v)
 }
 
-// f32ChunkBytes is the pooled encode-buffer size of the raw float32
-// body writer: big enough to amortize Write syscalls, small enough to
-// stay cache-resident.
-const f32ChunkBytes = 32 << 10
+// bodyScratch recycles the buffers field bodies are encoded into; a
+// kept body is an exact-size copy, so the buffer's growth slack is
+// never charged to the cache.
+var bodyScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-var f32ChunkPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, f32ChunkBytes)
-		return &b
-	},
+// encodeBody renders an identity form of a /v1/field body: the JSON
+// FieldResponse (newline-terminated, as json.Encoder writes it) or the
+// grid as raw row-major little-endian float32 — the layout raw climate
+// archives typically store; dimensions travel in headers.
+func encodeBody(f bodyForm, resp FieldResponse) ([]byte, error) {
+	if f == bodyF32 {
+		b := make([]byte, 4*len(resp.Data))
+		for i, v := range resp.Data {
+			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(float32(v)))
+		}
+		return b, nil
+	}
+	buf := bodyScratch.Get().(*bytes.Buffer)
+	buf.Reset()
+	err := json.NewEncoder(buf).Encode(resp)
+	b := bytes.Clone(buf.Bytes())
+	bodyScratch.Put(buf)
+	return b, err
 }
 
-// writeF32 streams data as raw row-major little-endian float32 — the
-// layout raw climate archives typically store; dimensions travel in
-// headers. Each value is narrowed as it encodes into a pooled chunk
-// buffer, so neither a float32 grid nor a grid-sized byte buffer is
-// allocated per request (pinned by the handler alloc test), and the body
-// compresses when the client accepts gzip.
-func writeF32(w http.ResponseWriter, r *http.Request, g sphere.Grid, data []float64) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Exaclim-NLat", strconv.Itoa(g.NLat))
-	w.Header().Set("X-Exaclim-NLon", strconv.Itoa(g.NLon))
-	et := beginStage(r.Context(), stageEncode)
-	defer et.end()
-	body, done := compressResponse(w, r)
-	defer done()
-	if w.Header().Get("Content-Encoding") == "gzip" {
-		et.attrStr("encoding", "gzip")
+// gzipBody compresses an identity body with a pooled BestSpeed writer.
+func gzipBody(identity []byte) []byte {
+	buf := bodyScratch.Get().(*bytes.Buffer)
+	buf.Reset()
+	zw := gzipPool.Get().(*gzip.Writer)
+	zw.Reset(buf)
+	zw.Write(identity) // a bytes.Buffer write cannot fail
+	zw.Close()
+	gzipPool.Put(zw)
+	b := bytes.Clone(buf.Bytes())
+	bodyScratch.Put(buf)
+	return b
+}
+
+// fieldBody returns form f of the field's response body: the body the
+// cache entry keeps when it has one, else one encoded now and kept —
+// a gzip form compresses its identity twin, which is looked up (or
+// encoded and kept) the same way. cached reports whether f itself was
+// kept already. Encoding runs outside every lock; two racing first
+// requests may both encode, and keepBody keeps one.
+func (s *Server) fieldBody(key cacheKey, f bodyForm, resp FieldResponse) (body []byte, cached bool, err error) {
+	if b := s.cache.body(key, f); b != nil {
+		return b, true, nil
 	}
-	bp := f32ChunkPool.Get().(*[]byte)
-	defer f32ChunkPool.Put(bp)
-	buf := *bp
-	for off := 0; off < len(data); {
-		n := len(data) - off
-		if n > len(buf)/4 {
-			n = len(buf) / 4
+	if f.gzipped() {
+		identity, _, err := s.fieldBody(key, f.identity(), resp)
+		if err != nil {
+			return nil, false, err
 		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(float32(data[off+i])))
-		}
-		if _, err := body.Write(buf[:4*n]); err != nil {
-			return // client gone; the remaining chunks have no reader
-		}
-		off += n
+		body = gzipBody(identity)
+	} else if body, err = encodeBody(f, resp); err != nil {
+		return nil, false, err
 	}
+	return s.cache.keepBody(key, f, body), false, nil
+}
+
+// fieldForm maps a /v1/field request onto its body form. format is a
+// closed set: absent or "json" answers JSON, "f32" raw float32, and
+// anything else is a bad query.
+func fieldForm(r *http.Request) (bodyForm, error) {
+	var f bodyForm
+	switch v := r.URL.Query().Get("format"); v {
+	case "", "json":
+		f = bodyJSON
+	case "f32":
+		f = bodyF32
+	default:
+		return 0, badQuery("serve: bad format=%q: want json or f32", v)
+	}
+	if acceptsGzip(r.Header.Get("Accept-Encoding")) {
+		f |= 1
+	}
+	return f, nil
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -406,20 +480,48 @@ func (s *Server) handleField(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	g := s.h.Grid
+	form, err := fieldForm(r)
+	if err != nil {
+		httpError(w, err)
+		return
+	}
 	data, err := s.Field(r.Context(), member, scenario, t)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	if r.URL.Query().Get("format") == "f32" {
-		writeF32(w, r, g, data)
-		return
-	}
-	writeJSON(w, r, FieldResponse{
+	g := s.h.Grid
+	// The encode stage covers the body lookup, any fill, and the write.
+	et := beginStage(r.Context(), stageEncode)
+	defer et.end()
+	body, cached, err := s.fieldBody(s.fieldKey(member, scenario, t), form, FieldResponse{
 		Member: member, Scenario: scenario, T: t,
 		NLat: g.NLat, NLon: g.NLon, Data: data,
 	})
+	if err != nil {
+		httpError(w, err)
+		return
+	}
+	if cached {
+		et.attrStr("body", "cached")
+	} else {
+		et.attrStr("body", "encoded")
+	}
+	hd := w.Header()
+	if form.identity() == bodyF32 {
+		hd.Set("Content-Type", "application/octet-stream")
+		hd.Set("X-Exaclim-NLat", strconv.Itoa(g.NLat))
+		hd.Set("X-Exaclim-NLon", strconv.Itoa(g.NLon))
+	} else {
+		hd.Set("Content-Type", "application/json")
+	}
+	if form.gzipped() {
+		hd.Set("Content-Encoding", "gzip")
+		et.attrStr("encoding", "gzip")
+	}
+	hd.Set("Vary", "Accept-Encoding")
+	hd.Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body) // a failed write means the client is gone; nothing is left to do
 }
 
 // seriesParams parses the shared member/scenario/t0/t1 parameters.

@@ -21,7 +21,8 @@
 //     concurrent requests for the same field trigger exactly one
 //     decode + synthesis; everyone else waits on that flight and shares
 //     the (read-only) result. Hot fields are served straight from
-//     memory.
+//     memory, each /v1/field body encoded once and kept beside its
+//     field.
 //
 // A Server is safe for concurrent use by any number of goroutines; the
 // HTTP layer in http.go fronts it with a JSON/binary API.
@@ -48,8 +49,8 @@ import (
 
 // Config tunes a Server.
 type Config struct {
-	// CacheBytes bounds the field cache (default 256 MiB). The one cache
-	// holds float64 fields and serves both response formats.
+	// CacheBytes bounds the field cache (default 256 MiB): its float64
+	// fields plus the /v1/field response bodies kept beside them.
 	CacheBytes int64
 	// LiveScenarios adds that many emulated-on-demand scenarios after
 	// the archive's own (scenario indices Scenarios() .. Scenarios() +
@@ -131,7 +132,7 @@ type Server struct {
 	model *emulator.Model
 	h     archive.Header
 	cfg   Config
-	cache *fieldCache // float64 fields behind both response formats
+	cache *fieldCache // float64 fields and their kept response bodies
 	plan  *sht.Plan   // shared read-only; see New for its fan-out
 
 	fieldLoads atomic.Int64 // underlying archive decode+synthesis count
@@ -336,8 +337,9 @@ func (s *Server) checkRange(member, scenario, t0, t1 int) error {
 // Field returns the full grid field of (member, scenario, t) as a shared
 // read-only slice in sphere.Field row-major layout. Concurrent requests
 // for one field coalesce into a single decode+synthesis; subsequent
-// requests hit the cache. It backs both response formats: the f32 body is
-// this slice narrowed value by value as it is written.
+// requests hit the cache. Every /v1/field body is encoded from this slice
+// (the f32 body narrows it value by value) and kept beside it while the
+// field stays resident.
 //
 // ctx bounds this caller's wait, not the shared work: a request that is
 // cancelled (client gone, http.TimeoutHandler fired) stops waiting on a
@@ -354,6 +356,12 @@ func (s *Server) Field(ctx context.Context, member, scenario, t int) ([]float64,
 	return s.field(ctx, member, scenario, t)
 }
 
+// fieldKey is the cache key of (member, scenario, t), in the live or the
+// archive namespace as the scenario is served.
+func (s *Server) fieldKey(member, scenario, t int) cacheKey {
+	return cacheKey{live: s.isLive(scenario), member: member, scenario: scenario, t: t}
+}
+
 // field is Field without the request accounting — the internal path
 // composite queries (statistics) fetch through, so one client query
 // counts once no matter how many fields it touches.
@@ -364,8 +372,7 @@ func (s *Server) field(ctx context.Context, member, scenario, t int) ([]float64,
 	ct := beginStage(ctx, stageCache)
 	defer ct.end()
 	ctx = ct.ctx(ctx) // the emulate stage nests under the cache span
-	key := cacheKey{live: true, member: member, scenario: scenario, t: t}
-	return s.cache.getOrLoad(ctx, key, func() ([]float64, error) {
+	return s.cache.getOrLoad(ctx, s.fieldKey(member, scenario, t), func() ([]float64, error) {
 		return s.loadLiveField(ctx, member, scenario, t, t+1, nil)
 	})
 }
@@ -379,7 +386,7 @@ func (s *Server) archiveField(ctx context.Context, member, scenario, t int) ([]f
 	ct := beginStage(ctx, stageCache)
 	defer ct.end()
 	ctx = ct.ctx(ctx) // decode and synthesis nest under the cache span
-	return s.cache.getOrLoad(ctx, cacheKey{member: member, scenario: scenario, t: t}, func() ([]float64, error) {
+	return s.cache.getOrLoad(ctx, s.fieldKey(member, scenario, t), func() ([]float64, error) {
 		s.fieldLoads.Add(1)
 		// The coefficients decode into the head of the grid they become: a
 		// grid that supports L has more than L^2 points, and
@@ -428,7 +435,7 @@ func (s *Server) loadLiveField(ctx context.Context, member, scenario, t, t1 int,
 		}
 		// Emulated fields are freshly allocated per step, so handing the
 		// slice to the cache is safe.
-		s.cache.add(cacheKey{live: true, member: member, scenario: scenario, t: tt}, f.Data)
+		s.cache.add(s.fieldKey(member, scenario, tt), f.Data)
 	})
 	if err != nil {
 		return nil, err
@@ -458,7 +465,7 @@ func (s *Server) liveRange(ctx context.Context, member, scenario, t0, t1 int, fn
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		data, err := s.cache.getOrLoad(ctx, cacheKey{live: true, member: member, scenario: scenario, t: t}, load)
+		data, err := s.cache.getOrLoad(ctx, s.fieldKey(member, scenario, t), load)
 		if err != nil {
 			return err
 		}
