@@ -38,10 +38,9 @@ func runServe(args []string) {
 		liveSteps = fs.Int("liveSteps", 0, "steps per live scenario (0 = archive steps)")
 		liveT0    = fs.Int("liveT0", 0, "training-step offset of live step 0 (match the archive's -t0)")
 		seed      = fs.Int64("seed", 1, "base seed for live member emulation")
-		cacheMB   = fs.Int("cacheMB", 256, "field cache capacity in MiB: float64 fields plus the response bodies kept beside them")
+		cacheMB   = fs.Int("cacheMB", 256, "field cache capacity in MiB: the live bytes of its float64 fields and kept response bodies; not a bound on process RSS, which the Go heap grows to about twice that")
 		inflight  = fs.Int("max-inflight", 0, "cap on concurrently served requests; beyond it requests shed with 503 (0 = unlimited)")
 		timeout   = fs.Duration("timeout", 0, "per-request handling timeout, e.g. 5s (0 = none)")
-		metrics   = fs.Bool("metrics", true, "expose Prometheus text metrics on /metrics")
 		pprofFlag = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (admin surface; keep off public listeners)")
 		logReq    = fs.String("log-requests", "", "write one JSON line per request to this file ('-' = stdout)")
 		traceRate = fs.Float64("trace-sample", 0, "fraction of requests traced head-sampled in [0,1]; sampled spans are kept in the in-memory trace store")
@@ -107,7 +106,6 @@ func runServe(args []string) {
 		RequestTimeout:     *timeout,
 		RequestLog:         reqLog,
 		EnablePprof:        *pprofFlag,
-		DisableMetrics:     !*metrics,
 		TraceSampleRate:    *traceRate,
 		SlowTraceThreshold: time.Duration(*slowMS) * time.Millisecond,
 		EnableTraceDebug:   *traceDbg,
@@ -128,10 +126,7 @@ func runServe(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	endpoints := "/v1/info /v1/field /v1/point /v1/points /v1/box /v1/stats /healthz /readyz"
-	if *metrics {
-		endpoints += " /metrics"
-	}
+	endpoints := "/v1/info /v1/field /v1/point /v1/points /v1/box /v1/stats /healthz /readyz /metrics"
 	if *pprofFlag {
 		endpoints += " /debug/pprof/"
 	}

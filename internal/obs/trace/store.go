@@ -3,121 +3,76 @@ package trace
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Store keeps the most recent captured traces in a lock-striped ring
-// buffer. Appends hash the trace-id to a stripe and hold only that
-// stripe's mutex for a pointer swap, so concurrent request completions
-// on different stripes never contend; a /debug/traces export walks the
-// stripes one at a time, so a slow scrape client never blocks appends
-// for longer than one pointer copy.
+// Store keeps the most recent captured traces in one mutex-guarded
+// ring of exactly its capacity: an append holds the mutex for a pointer
+// swap, and a /debug/traces export holds it only to copy the pointers,
+// so a slow scrape client never blocks appends for longer than that.
 type Store struct {
-	stripes []storeStripe
-	perCap  int           // ring capacity per stripe
-	dropped atomic.Uint64 // traces evicted by ring wraparound
+	mu      sync.Mutex
+	ring    []*Trace // fixed-size ring; nil slots until filled
+	next    int      // next write position
+	n       int      // traces currently held
+	dropped uint64   // traces evicted by ring wraparound
 }
 
-type storeStripe struct {
-	mu   sync.Mutex
-	ring []*Trace // fixed-size ring, nil until filled
-	next int      // next write position
-	n    int      // traces currently held
-	_    [24]byte // keep neighboring stripes off one cache line
-}
-
-// storeStripes is the stripe count; a power of two so the id hash maps
-// with a mask. Eight stripes outpace the request-completion rate of any
-// single node while keeping the capacity arithmetic simple.
-const storeStripes = 8
-
-// NewStore returns a store holding up to capacity traces (rounded up to
-// a multiple of the stripe count; capacities < 1 default to 256).
+// NewStore returns a store holding up to capacity traces (capacities < 1
+// default to 256).
 func NewStore(capacity int) *Store {
 	if capacity < 1 {
 		capacity = 256
 	}
-	per := (capacity + storeStripes - 1) / storeStripes
-	s := &Store{stripes: make([]storeStripe, storeStripes), perCap: per}
-	return s
+	return &Store{ring: make([]*Trace, capacity)}
 }
 
-// Capacity returns the total number of traces the store can hold.
-func (s *Store) Capacity() int { return s.perCap * storeStripes }
+// Capacity returns the number of traces the store can hold.
+func (s *Store) Capacity() int { return len(s.ring) }
 
 // Len returns the number of traces currently held.
 func (s *Store) Len() int {
-	n := 0
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		n += st.n
-		st.mu.Unlock()
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n
 }
 
 // Dropped returns the number of traces evicted by ring wraparound.
-func (s *Store) Dropped() uint64 { return s.dropped.Load() }
+func (s *Store) Dropped() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dropped
+}
 
 // Add appends a completed (or completing — see package doc) trace,
-// evicting the oldest trace on its stripe when the ring is full. Add
-// must never be called with a cache-shard mutex held.
+// evicting the oldest trace when the ring is full. Add must never be
+// called with a cache-shard mutex held.
 func (s *Store) Add(tr *Trace) {
 	if tr == nil {
 		return
 	}
-	var h uint64
-	for i := 0; i < 8; i++ {
-		h = h<<8 | uint64(tr.id[i]^tr.id[i+8])
+	s.mu.Lock()
+	if s.n == len(s.ring) {
+		s.dropped++
+	} else {
+		s.n++
 	}
-	st := &s.stripes[splitmix64(h)%storeStripes]
-	st.mu.Lock()
-	if st.ring == nil {
-		st.ring = make([]*Trace, s.perCap)
-	}
-	evict := st.ring[st.next] != nil
-	st.ring[st.next] = tr
-	st.next = (st.next + 1) % s.perCap
-	if !evict {
-		st.n++
-	}
-	st.mu.Unlock()
-	if evict {
-		s.dropped.Add(1)
-	}
+	s.ring[s.next] = tr
+	s.next = (s.next + 1) % len(s.ring)
+	s.mu.Unlock()
 }
 
-// snapshot copies the current trace pointers, newest request first.
-func (s *Store) snapshot() []*Trace {
-	out := make([]*Trace, 0, s.perCap*storeStripes)
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		for _, tr := range st.ring {
-			if tr != nil {
-				out = append(out, tr)
-			}
-		}
-		st.mu.Unlock()
+// snapshot copies the held trace pointers, most recently added first,
+// and the eviction count at the same instant.
+func (s *Store) snapshot() ([]*Trace, uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]*Trace, s.n)
+	for i := range out {
+		out[i] = s.ring[(s.next-1-i+len(s.ring))%len(s.ring)]
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].startTime().After(out[j].startTime())
-	})
-	return out
-}
-
-// startTime returns the root span's start (the trace start).
-func (t *Trace) startTime() time.Time {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.spans) == 0 {
-		return time.Time{}
-	}
-	return t.spans[0].start
+	return out, s.dropped
 }
 
 // SpanJSON is one span of the /debug/traces export. Offsets are
@@ -154,16 +109,16 @@ type StoreJSON struct {
 	Traces   []TraceJSON `json:"traces"`
 }
 
-// Export snapshots the store into its JSON document form, newest trace
-// first. Each trace is snapshotted under its own mutex, so traces whose
+// Export snapshots the store into its JSON document form, the most
+// recently added trace first. Each trace is snapshotted under its own mutex, so traces whose
 // handler goroutines are still running (the TimeoutHandler tail) export
 // a consistent prefix with in-flight spans flagged.
 func (s *Store) Export() StoreJSON {
-	trs := s.snapshot()
+	trs, dropped := s.snapshot()
 	doc := StoreJSON{
 		Capacity: s.Capacity(),
 		Stored:   len(trs),
-		Dropped:  s.Dropped(),
+		Dropped:  dropped,
 		Traces:   make([]TraceJSON, 0, len(trs)),
 	}
 	for _, tr := range trs {

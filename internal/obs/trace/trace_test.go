@@ -240,32 +240,29 @@ func TestParseTraceparentZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestStoreRing pins the ring's eviction order: after 3 x cap
+// sequential appends the export holds exactly the last cap traces, the
+// most recent first, and the other 2 x cap were dropped — whatever their
+// trace IDs hash to.
 func TestStoreRing(t *testing.T) {
-	s := NewStore(16)
-	if s.Capacity() < 16 {
-		t.Fatalf("capacity %d < requested 16", s.Capacity())
-	}
-	total := s.Capacity() * 3
-	for i := 0; i < total; i++ {
+	const capacity = 16
+	s := NewStore(capacity)
+	for i := 0; i < 3*capacity; i++ {
 		tr, root := New(fmt.Sprintf("r%d", i), Options{Sampled: true})
 		root.End()
 		s.Add(tr)
 	}
-	if got := s.Len(); got > s.Capacity() {
-		t.Fatalf("Len %d exceeds capacity %d", got, s.Capacity())
-	}
-	if got := int(s.Dropped()) + s.Len(); got != total {
-		t.Fatalf("dropped+stored = %d, want %d", got, total)
-	}
 	doc := s.Export()
-	if doc.Stored != s.Len() || doc.Capacity != s.Capacity() {
-		t.Fatalf("export header %+v disagrees with store", doc)
+	if doc.Capacity != capacity || doc.Stored != capacity || len(doc.Traces) != capacity || s.Len() != capacity {
+		t.Fatalf("capacity %d, stored %d, exported %d, Len %d; want %d of each", doc.Capacity, doc.Stored, len(doc.Traces), s.Len(), capacity)
 	}
-	// Newest-first ordering.
-	for i := 1; i < len(doc.Traces); i++ {
-		if doc.Traces[i].Start.After(doc.Traces[i-1].Start) {
-			t.Fatal("export not sorted newest first")
+	for i, tr := range doc.Traces {
+		if want := fmt.Sprintf("r%d", 3*capacity-1-i); tr.Spans[0].Name != want {
+			t.Fatalf("export[%d] is %s, want %s", i, tr.Spans[0].Name, want)
 		}
+	}
+	if got := s.Dropped(); got != 2*capacity || doc.Dropped != 2*capacity {
+		t.Fatalf("dropped %d (export %d), want %d", got, doc.Dropped, 2*capacity)
 	}
 }
 
@@ -278,10 +275,7 @@ func TestStoreHammer(t *testing.T) {
 		spansPerTrace  = 6
 		scrapesPerLoop = 4
 	)
-	// Striping is by trace-id hash, so per-stripe fill is binomial, not
-	// uniform; 4x headroom keeps every stripe below its ring capacity
-	// and the accounting exact.
-	s := NewStore(workers * tracesPerG * 4)
+	s := NewStore(workers * tracesPerG)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < scrapesPerLoop; g++ {
@@ -338,7 +332,7 @@ func TestStoreHammer(t *testing.T) {
 		t.Fatalf("stored %d traces, want %d", got, workers*tracesPerG)
 	}
 	if got := s.Dropped(); got != 0 {
-		t.Fatalf("dropped %d traces with 4x headroom", got)
+		t.Fatalf("dropped %d traces from a store of exactly their number", got)
 	}
 	doc := s.Export()
 	for _, tr := range doc.Traces {

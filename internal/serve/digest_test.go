@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"exaclim/internal/archive"
@@ -154,5 +156,87 @@ func TestFieldBodiesDigestAcrossCommits(t *testing.T) {
 	}
 	if st := s.Stats(); st.FieldLoads != 2 || st.LiveLoads != 2 {
 		t.Fatalf("%d field loads and %d live loads, want 2 of each (miss, then re-fill)", st.FieldLoads, st.LiveLoads)
+	}
+}
+
+// TestSeriesBodiesDigestAcrossCommits pins the identity and gzip JSON
+// bodies of /v1/point, /v1/points, /v1/box and /v1/stats to the bytes
+// the streaming JSON writer sent at the commit before every /v1 body
+// left through one buffered write (digests computed at the parent
+// commit).
+func TestSeriesBodiesDigestAcrossCommits(t *testing.T) {
+	want := map[string][2]string{ // identity, gzip
+		"/v1/point?member=1&scenario=0&lat=37.25&lon=-122.5&t0=2&t1=11": {
+			"74c728101578fee168c5e0a249a43d32ef7696110ece5c8d6294cd8a126b1cae",
+			"4a375678ceaca7b6b430567ccb2558a328622501880e009213633e4d5663d15b",
+		},
+		"/v1/points?member=0&scenario=1&lat=10,-45.5,80&lon=30,200,-7&t1=6": {
+			"c6b75b45567361d32f995f248acbcf804906e8dc0fc913ba8207e7daf24069e2",
+			"dc419288350b950000e19b10037a401f4714dcd4d23bfc2837ff388e1111aef7",
+		},
+		"/v1/box?member=1&scenario=1&lat0=-30&lat1=30&lon0=350&lon1=20&t0=1&t1=9": {
+			"32b98ff51e404048037b2781f70741d2019ac6cd7dc4da491deefbf32b6659d0",
+			"dfdd89e79b390768696f554eaa64c272e9eb9b89f91dbd32afd2aecea2aac28c",
+		},
+		"/v1/stats?scenario=1&t=7": {
+			"05ac47dc3d0e277f70c03e3888aaeaf4570df60791c9695ff8506a6d7c5841cd",
+			"bfe636086a28841fa300b21b6a3e895f67f0cbabca4dde3c1d301901f2863dde",
+		},
+	}
+	const L, steps = fixL, 12
+	var buf bytes.Buffer
+	w, err := archive.NewWriter(&buf, archive.Header{
+		Grid: sphere.GridForBandLimit(L), L: L,
+		Members: 2, Scenarios: 2, Steps: steps, ChunkSteps: 5,
+		Bands: []archive.Band{
+			{Lo: 0, Hi: 3, Prec: tile.FP64},
+			{Lo: 3, Hi: 8, Prec: tile.FP32},
+			{Lo: 8, Hi: L, Prec: tile.FP16},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(44))
+	packed := make([]float64, sht.PackDim(L))
+	for sc := 0; sc < 2; sc++ {
+		for m := 0; m < 2; m++ {
+			for ts := 0; ts < steps; ts++ {
+				for i := range packed {
+					packed[i] = rng.NormFloat64() / float64(1+sht.PackDegree(i))
+				}
+				if err := w.AddPacked(m, sc, ts, packed); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := archive.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(r, nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for url, digests := range want {
+		for i, ae := range []string{"", "gzip"} {
+			req := httptest.NewRequest("GET", url, nil)
+			if ae != "" {
+				req.Header.Set("Accept-Encoding", ae)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s (Accept-Encoding %q) -> %d: %s", url, ae, rec.Code, rec.Body.Bytes())
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(rec.Body.Bytes())); got != digests[i] {
+				t.Errorf("%s (Accept-Encoding %q): %d-byte body digest %s, want %s", url, ae, rec.Body.Len(), got, digests[i])
+			}
+		}
 	}
 }

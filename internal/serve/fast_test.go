@@ -371,7 +371,8 @@ func (d *discardRW) WriteHeader(int)             {}
 // each), serving any form again through the handler encodes nothing and
 // copies no body — under 4 KiB a request, the request parsing and
 // header-map noise. A miss allocates its body on purpose: the body is
-// kept.
+// kept. The object counts of a hit per form, and of a one-step
+// /v1/point, are pinned too: the query is parsed once per request.
 func TestFieldHitNoBodyAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector bookkeeping inflates the allocation count")
@@ -403,6 +404,11 @@ func TestFieldHitNoBodyAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Objects a request allocates: request context, header map, the
+	// parsed query and the middleware's bookkeeping, per form (JSON,
+	// JSON+gzip, f32, f32+gzip), and for a one-step point series.
+	maxHitAllocs := [bodyForms]float64{27, 29, 34, 35}
+	const maxPointAllocs = 42
 	h := s.Handler()
 	for f := bodyJSON; f < bodyForms; f++ {
 		body := serveForm(t, h, 0, 0, 0, f) // fill the kept body
@@ -424,6 +430,15 @@ func TestFieldHitNoBodyAlloc(t *testing.T) {
 			t.Errorf("form %d: a hit allocates %d B/op for a %d-byte body; the body is being encoded or copied again",
 				f, n, len(body))
 		}
+		if n := testing.AllocsPerRun(runs, func() { h.ServeHTTP(rw, req) }); n > maxHitAllocs[f] {
+			t.Errorf("form %d: a hit allocates %v objects, want <= %v", f, n, maxHitAllocs[f])
+		}
+	}
+	req := httptest.NewRequest("GET", "/v1/point?member=0&scenario=0&lat=30&lon=100&t0=0&t1=1", nil)
+	rw := &discardRW{}
+	h.ServeHTTP(rw, req)
+	if n := testing.AllocsPerRun(200, func() { h.ServeHTTP(rw, req) }); n > maxPointAllocs {
+		t.Errorf("a one-step /v1/point allocates %v objects, want <= %v", n, maxPointAllocs)
 	}
 	if st := s.Stats(); st.FieldLoads != 1 {
 		t.Fatalf("FieldLoads = %d, want 1", st.FieldLoads)

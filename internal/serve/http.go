@@ -7,10 +7,10 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"io"
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,12 +38,17 @@ import (
 //
 // t1 defaults to the scenario's step count; t0 defaults to 0.
 //
-// Responses compress with gzip when the request's Accept-Encoding admits
+// A handler parses its query once and reads every parameter from it
+// (params); the first missing or malformed one answers 400, quoting at
+// most 64 bytes of its value. Every /v1 body leaves through writeBody:
+// finished bytes with Content-Type, Vary: Accept-Encoding,
+// Content-Encoding when gzipped and Content-Length, in one Write.
+// Bodies compress with gzip when the request's Accept-Encoding admits
 // it (a gzip token with a non-zero q) — grid-sized JSON bodies shrink
-// several-fold, and the writers are pooled so compression adds no
-// per-request allocation of its 256 KiB state. A resident field's bodies
-// are encoded once and kept in its cache entry (fieldBody), so a hot
-// /v1/field answer is one write of finished bytes.
+// several-fold, and the compressors are pooled so compression adds no
+// per-request allocation of their 256 KiB state. A resident field's
+// bodies are encoded once and kept in its cache entry (fieldBody), so a
+// hot /v1/field answer is one write of finished bytes.
 
 // FieldResponse is the JSON body of /v1/field.
 type FieldResponse struct {
@@ -138,9 +143,7 @@ func (s *Server) Handler() http.Handler {
 		w.Write([]byte("ok\n"))
 	})
 	outer.HandleFunc("GET /readyz", s.handleReady)
-	if s.metrics != nil {
-		outer.Handle("GET /metrics", s.metrics.reg.Handler())
-	}
+	outer.Handle("GET /metrics", s.metrics.reg.Handler())
 	if s.tracer != nil && s.cfg.EnableTraceDebug {
 		outer.HandleFunc("GET /debug/traces", s.handleTraces)
 	}
@@ -221,54 +224,103 @@ func httpError(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), http.StatusInternalServerError)
 }
 
-// queryInt parses an integer query parameter with a default.
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
+// maxQuote bounds how much of an offending parameter value a 400 quotes,
+// so a hostile query of a megabyte is not echoed back.
+const maxQuote = 64
+
+// clip returns at most maxQuote bytes of v, marking a cut with "...".
+func clip(v string) string {
+	if len(v) <= maxQuote {
+		return v
+	}
+	return v[:maxQuote] + "..."
+}
+
+// params reads one request's query parameters from a url.Values parsed
+// once. The first missing or malformed parameter is kept as err, and
+// reads after it return zero values, so a handler checks err once.
+type params struct {
+	q   url.Values
+	err error
+}
+
+// queryParams parses the request's query.
+func queryParams(r *http.Request) params { return params{q: r.URL.Query()} }
+
+// fail keeps the first error of the request.
+func (p *params) fail(format string, args ...any) {
+	if p.err == nil {
+		p.err = badQuery(format, args...)
+	}
+}
+
+// bad records a value that did not parse, quoting at most maxQuote bytes
+// of it (and of the number strconv quotes in err).
+func (p *params) bad(name, v string, err error) {
+	var ne *strconv.NumError
+	if errors.As(err, &ne) {
+		ne.Num = clip(ne.Num)
+	}
+	p.fail("serve: bad %s=%q: %v", name, clip(v), err)
+}
+
+// int reads an integer parameter with a default.
+func (p *params) int(name string, def int) int {
+	v := p.q.Get(name)
+	if v == "" || p.err != nil {
+		return def
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
-		return 0, badQuery("serve: bad %s=%q: %v", name, v, err)
+		p.bad(name, v, err)
 	}
-	return n, nil
+	return n
 }
 
-// queryFloat parses a float query parameter; it is required.
-func queryFloat(r *http.Request, name string) (float64, error) {
-	v := r.URL.Query().Get(name)
+// float reads a required float parameter.
+func (p *params) float(name string) float64 {
+	v := p.q.Get(name)
+	if p.err != nil {
+		return 0
+	}
 	if v == "" {
-		return 0, badQuery("serve: missing required parameter %s", name)
+		p.fail("serve: missing required parameter %s", name)
+		return 0
 	}
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
-		return 0, badQuery("serve: bad %s=%q: %v", name, v, err)
+		p.bad(name, v, err)
 	}
-	return f, nil
+	return f
 }
 
-// queryFloatList parses a required comma-separated list of at most
-// maxBatchPoints floats. The list is counted before it is split, so a
-// hostile URL of a million separators is refused without allocating
-// one value per entry.
-func queryFloatList(r *http.Request, name string) ([]float64, error) {
-	v := r.URL.Query().Get(name)
+// floats reads a required comma-separated list of at most maxBatchPoints
+// floats. The list is counted before it is split, so a hostile URL of a
+// million separators is refused without allocating one value per entry.
+func (p *params) floats(name string) []float64 {
+	v := p.q.Get(name)
+	if p.err != nil {
+		return nil
+	}
 	if v == "" {
-		return nil, badQuery("serve: missing required parameter %s", name)
+		p.fail("serve: missing required parameter %s", name)
+		return nil
 	}
 	if n := strings.Count(v, ",") + 1; n > maxBatchPoints {
-		return nil, badQuery("serve: %d %s values exceed the %d-point limit", n, name, maxBatchPoints)
+		p.fail("serve: %d %s values exceed the %d-point limit", n, name, maxBatchPoints)
+		return nil
 	}
 	parts := strings.Split(v, ",")
 	out := make([]float64, len(parts))
-	for i, p := range parts {
-		f, err := strconv.ParseFloat(p, 64)
+	for i, part := range parts {
+		f, err := strconv.ParseFloat(part, 64)
 		if err != nil {
-			return nil, badQuery("serve: bad %s=%q: %v", name, v, err)
+			p.bad(name, v, err)
+			return nil
 		}
 		out[i] = f
 	}
-	return out, nil
+	return out
 }
 
 // gzipPool recycles compressors across responses: a gzip.Writer carries
@@ -321,44 +373,44 @@ func qNonZero(params string) bool {
 	return true
 }
 
-// compressResponse returns the writer the response body should go
-// through: a pooled gzip writer when the client accepts gzip, else w
-// itself. done must be called exactly once after the body is fully
-// written — it flushes the gzip footer and returns the writer to the
-// pool. Decompressed bytes are byte-identical to the uncompressed
-// response (pinned by the round-trip test over a real listener). The
-// response varies on Accept-Encoding either way, and says so to caches.
-func compressResponse(w http.ResponseWriter, r *http.Request) (body io.Writer, done func()) {
-	w.Header().Set("Vary", "Accept-Encoding")
-	if !acceptsGzip(r.Header.Get("Accept-Encoding")) {
-		return w, func() {}
+// writeBody is the one way a /v1 body leaves the server: it sets the
+// framing headers (Content-Type, Vary: Accept-Encoding, Content-Encoding
+// when gzipped, Content-Length) and writes the finished body in one
+// Write. A failed write means the client is gone; nothing is left to do.
+func writeBody(w http.ResponseWriter, contentType string, gzipped bool, body []byte) {
+	hd := w.Header()
+	hd.Set("Content-Type", contentType)
+	hd.Set("Vary", "Accept-Encoding")
+	if gzipped {
+		hd.Set("Content-Encoding", "gzip")
 	}
-	w.Header().Set("Content-Encoding", "gzip")
-	zw := gzipPool.Get().(*gzip.Writer)
-	zw.Reset(w)
-	return zw, func() {
-		zw.Close()
-		gzipPool.Put(zw)
-	}
+	hd.Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
-// writeJSON encodes v as the response body, gzip-compressed when the
-// client accepts it. Encoding (and the gzip flush inside done) is the
-// request's encode stage.
+// writeJSON encodes v into a pooled buffer, gzips it when the client
+// accepts gzip, and writes it. Encoding, compression and the write are
+// the request's encode stage.
 func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
-	w.Header().Set("Content-Type", "application/json")
 	et := beginStage(r.Context(), stageEncode)
 	defer et.end()
-	body, done := compressResponse(w, r)
-	defer done()
-	if w.Header().Get("Content-Encoding") == "gzip" {
-		et.attrStr("encoding", "gzip")
+	buf := bodyScratch.Get().(*bytes.Buffer)
+	defer bodyScratch.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		httpError(w, err)
+		return
 	}
-	json.NewEncoder(body).Encode(v)
+	body, gzipped := buf.Bytes(), acceptsGzip(r.Header.Get("Accept-Encoding"))
+	if gzipped {
+		et.attrStr("encoding", "gzip")
+		body = gzipBody(body)
+	}
+	writeBody(w, "application/json", gzipped, body)
 }
 
-// bodyScratch recycles the buffers field bodies are encoded into; a
-// kept body is an exact-size copy, so the buffer's growth slack is
+// bodyScratch recycles the buffers bodies are encoded into; a kept
+// field body is an exact-size copy, so the buffer's growth slack is
 // never charged to the cache.
 var bodyScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -421,20 +473,20 @@ func (s *Server) fieldBody(key cacheKey, f bodyForm, resp FieldResponse) (body [
 // fieldForm maps a /v1/field request onto its body form. format is a
 // closed set: absent or "json" answers JSON, "f32" raw float32, and
 // anything else is a bad query.
-func fieldForm(r *http.Request) (bodyForm, error) {
+func fieldForm(p *params, r *http.Request) bodyForm {
 	var f bodyForm
-	switch v := r.URL.Query().Get("format"); v {
+	switch v := p.q.Get("format"); v {
 	case "", "json":
 		f = bodyJSON
 	case "f32":
 		f = bodyF32
 	default:
-		return 0, badQuery("serve: bad format=%q: want json or f32", v)
+		p.fail("serve: bad format=%q: want json or f32", clip(v))
 	}
 	if acceptsGzip(r.Header.Get("Accept-Encoding")) {
 		f |= 1
 	}
-	return f, nil
+	return f
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -465,24 +517,11 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleField(w http.ResponseWriter, r *http.Request) {
-	member, err := queryInt(r, "member", 0)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	scenario, err := queryInt(r, "scenario", 0)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	t, err := queryInt(r, "t", 0)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	form, err := fieldForm(r)
-	if err != nil {
-		httpError(w, err)
+	p := queryParams(r)
+	member, scenario, t := p.int("member", 0), p.int("scenario", 0), p.int("t", 0)
+	form := fieldForm(&p, r)
+	if p.err != nil {
+		httpError(w, p.err)
 		return
 	}
 	data, err := s.Field(r.Context(), member, scenario, t)
@@ -507,108 +546,75 @@ func (s *Server) handleField(w http.ResponseWriter, r *http.Request) {
 	} else {
 		et.attrStr("body", "encoded")
 	}
-	hd := w.Header()
-	if form.identity() == bodyF32 {
-		hd.Set("Content-Type", "application/octet-stream")
-		hd.Set("X-Exaclim-NLat", strconv.Itoa(g.NLat))
-		hd.Set("X-Exaclim-NLon", strconv.Itoa(g.NLon))
-	} else {
-		hd.Set("Content-Type", "application/json")
-	}
 	if form.gzipped() {
-		hd.Set("Content-Encoding", "gzip")
 		et.attrStr("encoding", "gzip")
 	}
-	hd.Set("Vary", "Accept-Encoding")
-	hd.Set("Content-Length", strconv.Itoa(len(body)))
-	w.Write(body) // a failed write means the client is gone; nothing is left to do
+	contentType := "application/json"
+	if form.identity() == bodyF32 {
+		contentType = "application/octet-stream"
+		w.Header().Set("X-Exaclim-NLat", strconv.Itoa(g.NLat))
+		w.Header().Set("X-Exaclim-NLon", strconv.Itoa(g.NLon))
+	}
+	writeBody(w, contentType, form.gzipped(), body)
 }
 
-// seriesParams parses the shared member/scenario/t0/t1 parameters.
-func (s *Server) seriesParams(r *http.Request) (member, scenario, t0, t1 int, err error) {
-	if member, err = queryInt(r, "member", 0); err != nil {
+// answer writes v as the JSON response, or err as the error answer.
+func answer(w http.ResponseWriter, r *http.Request, v any, err error) {
+	if err != nil {
+		httpError(w, err)
 		return
 	}
-	if scenario, err = queryInt(r, "scenario", 0); err != nil {
-		return
-	}
-	if t0, err = queryInt(r, "t0", 0); err != nil {
-		return
-	}
-	t1, err = queryInt(r, "t1", s.Steps(scenario))
-	return
+	writeJSON(w, r, v)
 }
 
-// handleSeries is the shape the three series endpoints share: parse the
-// common member/scenario/t0/t1 parameters, let query parse its own and
-// run, and write its response — or the first error on the way.
-func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request, query func(member, scenario, t0, t1 int) (any, error)) {
-	member, scenario, t0, t1, err := s.seriesParams(r)
-	if err == nil {
-		var resp any
-		if resp, err = query(member, scenario, t0, t1); err == nil {
-			writeJSON(w, r, resp)
-			return
-		}
-	}
-	httpError(w, err)
+// seriesParams reads the member/scenario/t0/t1 parameters the series
+// endpoints share; t1 defaults to the scenario's step count.
+func (s *Server) seriesParams(p *params) (member, scenario, t0, t1 int) {
+	member, scenario, t0 = p.int("member", 0), p.int("scenario", 0), p.int("t0", 0)
+	return member, scenario, t0, p.int("t1", s.Steps(scenario))
 }
 
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
-	s.handleSeries(w, r, func(member, scenario, t0, t1 int) (any, error) {
-		lat, err := queryFloat(r, "lat")
-		if err != nil {
-			return nil, err
-		}
-		lon, err := queryFloat(r, "lon")
-		if err != nil {
-			return nil, err
-		}
-		values, err := s.PointSeries(r.Context(), member, scenario, lat, lon, t0, t1)
-		return SeriesResponse{Member: member, Scenario: scenario, T0: t0, Values: values}, err
-	})
+	p := queryParams(r)
+	member, scenario, t0, t1 := s.seriesParams(&p)
+	lat, lon := p.float("lat"), p.float("lon")
+	if p.err != nil {
+		httpError(w, p.err)
+		return
+	}
+	values, err := s.PointSeries(r.Context(), member, scenario, lat, lon, t0, t1)
+	answer(w, r, SeriesResponse{Member: member, Scenario: scenario, T0: t0, Values: values}, err)
 }
 
 func (s *Server) handlePoints(w http.ResponseWriter, r *http.Request) {
-	s.handleSeries(w, r, func(member, scenario, t0, t1 int) (any, error) {
-		lats, err := queryFloatList(r, "lat")
-		if err != nil {
-			return nil, err
-		}
-		lons, err := queryFloatList(r, "lon")
-		if err != nil {
-			return nil, err
-		}
-		series, err := s.PointsSeries(r.Context(), member, scenario, lats, lons, t0, t1)
-		return PointsResponse{Member: member, Scenario: scenario, T0: t0, Series: series}, err
-	})
+	p := queryParams(r)
+	member, scenario, t0, t1 := s.seriesParams(&p)
+	lats, lons := p.floats("lat"), p.floats("lon")
+	if p.err != nil {
+		httpError(w, p.err)
+		return
+	}
+	series, err := s.PointsSeries(r.Context(), member, scenario, lats, lons, t0, t1)
+	answer(w, r, PointsResponse{Member: member, Scenario: scenario, T0: t0, Series: series}, err)
 }
 
 func (s *Server) handleBox(w http.ResponseWriter, r *http.Request) {
-	s.handleSeries(w, r, func(member, scenario, t0, t1 int) (resp any, err error) {
-		var box Box
-		for _, p := range []struct {
-			name string
-			dst  *float64
-		}{{"lat0", &box.LatMin}, {"lat1", &box.LatMax}, {"lon0", &box.LonMin}, {"lon1", &box.LonMax}} {
-			if *p.dst, err = queryFloat(r, p.name); err != nil {
-				return nil, err
-			}
-		}
-		values, err := s.BoxSeries(r.Context(), member, scenario, box, t0, t1)
-		return SeriesResponse{Member: member, Scenario: scenario, T0: t0, Values: values}, err
-	})
+	p := queryParams(r)
+	member, scenario, t0, t1 := s.seriesParams(&p)
+	box := Box{LatMin: p.float("lat0"), LatMax: p.float("lat1"), LonMin: p.float("lon0"), LonMax: p.float("lon1")}
+	if p.err != nil {
+		httpError(w, p.err)
+		return
+	}
+	values, err := s.BoxSeries(r.Context(), member, scenario, box, t0, t1)
+	answer(w, r, SeriesResponse{Member: member, Scenario: scenario, T0: t0, Values: values}, err)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	scenario, err := queryInt(r, "scenario", 0)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	t, err := queryInt(r, "t", 0)
-	if err != nil {
-		httpError(w, err)
+	p := queryParams(r)
+	scenario, t := p.int("scenario", 0), p.int("t", 0)
+	if p.err != nil {
+		httpError(w, p.err)
 		return
 	}
 	mean, spread, err := s.EnsembleStats(r.Context(), scenario, t)

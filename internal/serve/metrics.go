@@ -3,6 +3,7 @@ package serve
 import (
 	"exaclim/internal/archive"
 	"exaclim/internal/obs"
+	"exaclim/internal/obs/trace"
 )
 
 // serveMetrics is the server's registered metric surface: the hot-path
@@ -117,7 +118,11 @@ func (m *serveMetrics) Add(metric string, delta int64) {
 }
 
 // ArchiveStats is the archive reader's metric snapshot as observed
-// through the server's sink (all zero when metrics are disabled).
+// through the server's sink. It is an obs.Sink itself: a traced series
+// request's cursor reports into one, so the request's decode span can
+// carry chunk and I/O attribution. A cursor is single-goroutine by
+// contract and is unhooked before another request can borrow it, so
+// plain fields suffice.
 type ArchiveStats struct {
 	// StepDecodes counts coefficient records decoded.
 	StepDecodes int64
@@ -132,11 +137,36 @@ type ArchiveStats struct {
 	ChunkAmortized int64
 }
 
+// Add implements obs.Sink.
+func (a *ArchiveStats) Add(metric string, delta int64) {
+	switch metric {
+	case archive.MetricStepDecodes:
+		a.StepDecodes += delta
+	case archive.MetricReadBytes:
+		a.ReadBytes += delta
+	case archive.MetricChunkHits:
+		a.ChunkHits += delta
+	case archive.MetricChunkMisses:
+		a.ChunkMisses += delta
+	case archive.MetricChunkAmortized:
+		a.ChunkAmortized += delta
+	}
+}
+
+// annotate copies the counts onto a decode span.
+func (a *ArchiveStats) annotate(sp *trace.Span) {
+	if a == nil || sp == nil {
+		return
+	}
+	sp.SetAttr("decodes", a.StepDecodes)
+	sp.SetAttr("read_bytes", a.ReadBytes)
+	sp.SetAttr("chunk_hits", a.ChunkHits)
+	sp.SetAttr("chunk_misses", a.ChunkMisses)
+	sp.SetAttr("chunk_amortized", a.ChunkAmortized)
+}
+
 // archiveStats snapshots the sink-fed archive counters.
 func (m *serveMetrics) archiveStats() ArchiveStats {
-	if m == nil {
-		return ArchiveStats{}
-	}
 	return ArchiveStats{
 		StepDecodes:    m.archStepDecodes.Value(),
 		ReadBytes:      m.archReadBytes.Value(),

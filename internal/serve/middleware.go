@@ -40,7 +40,7 @@ type requestInfo struct {
 	// cursor collects the archive events of a traced request's series
 	// walk (attachCursorStats) for its decode span. Only the goroutine
 	// driving the walk touches it.
-	cursor cursorStats
+	cursor ArchiveStats
 }
 
 // requestInfoKey is the context key for *requestInfo.
@@ -200,9 +200,6 @@ func (s *Server) startTrace(r *http.Request) (*trace.Trace, *trace.Span) {
 // because it stays outside http.TimeoutHandler, this goroutine is the
 // only writer to the statusWriter.
 func (s *Server) instrument(next http.Handler) http.Handler {
-	if s.metrics == nil && s.cfg.RequestLog == nil && s.tracer == nil {
-		return next
-	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := r.Header.Get(RequestIDHeader)
@@ -225,23 +222,17 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		}
 		r = r.WithContext(context.WithValue(r.Context(), requestInfoKey{}, info))
 		sw := &statusWriter{ResponseWriter: w}
-		if s.metrics != nil {
-			s.metrics.inFlight.Add(1)
-		}
+		s.metrics.inFlight.Add(1)
 		next.ServeHTTP(sw, r)
-		if s.metrics != nil {
-			s.metrics.inFlight.Add(-1)
-		}
+		s.metrics.inFlight.Add(-1)
 		dur := time.Since(start)
 		status := sw.status
 		if status == 0 {
 			status = http.StatusOK
 		}
 		path := endpointLabel(r.URL.Path)
-		if s.metrics != nil {
-			s.metrics.reqTotal.With(path, strconv.Itoa(status)).Inc()
-			s.metrics.reqLatency.With(path).Observe(dur.Seconds())
-		}
+		s.metrics.reqTotal.With(path, strconv.Itoa(status)).Inc()
+		s.metrics.reqLatency.With(path).Observe(dur.Seconds())
 		// Settle the trace before the metrics/log tail so both can link
 		// to it: keep it if it was sampled, or if it crossed the
 		// slow-trace threshold (the always-on trigger).
@@ -261,15 +252,13 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 				s.tracer.store.Add(tr)
 			}
 		}
-		if s.metrics != nil {
-			for st := stage(0); st < numStages; st++ {
-				if ns := info.stages[st].Load(); ns > 0 {
-					// Kept traces ride along as exemplars, linking the
-					// histogram bucket to the span tree that filled it;
-					// an empty trace ID degrades to a plain observation.
-					s.metrics.stageDuration.With(stageNames[st]).
-						ObserveExemplar(float64(ns)/1e9, traceID)
-				}
+		for st := stage(0); st < numStages; st++ {
+			if ns := info.stages[st].Load(); ns > 0 {
+				// Kept traces ride along as exemplars, linking the
+				// histogram bucket to the span tree that filled it; an
+				// empty trace ID degrades to a plain observation.
+				s.metrics.stageDuration.With(stageNames[st]).
+					ObserveExemplar(float64(ns)/1e9, traceID)
 			}
 		}
 		if s.cfg.RequestLog != nil || slow {

@@ -265,42 +265,6 @@ func TestReadyz(t *testing.T) {
 	check("/readyz", 200)
 }
 
-// TestDisableMetrics asserts the A/B switch: no /metrics endpoint, nil
-// registry, and untouched serving behavior.
-func TestDisableMetrics(t *testing.T) {
-	s, _ := testServer(t)
-	bare, err := New(s.r, nil, Config{CacheBytes: fixCacheCap, DisableMetrics: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.Metrics() != nil {
-		t.Error("Metrics() not nil with DisableMetrics")
-	}
-	srv := httptest.NewServer(bare.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("/metrics with DisableMetrics: status %d, want 404", resp.StatusCode)
-	}
-	resp, err = srv.Client().Get(srv.URL + "/v1/field?member=0&scenario=0&t=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("field query with DisableMetrics: status %d", resp.StatusCode)
-	}
-	if got := bare.Stats().Archive; got != (ArchiveStats{}) {
-		t.Errorf("archive stats with DisableMetrics: %+v, want zero", got)
-	}
-}
-
 // TestPprofGate asserts pprof is absent by default and mounted behind
 // the flag.
 func TestPprofGate(t *testing.T) {

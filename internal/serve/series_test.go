@@ -252,7 +252,7 @@ func TestSeriesBlocksAcrossChunkSeams(t *testing.T) {
 }
 
 // TestSeriesCursorUnhookedAfterRequest pins the borrowed cursor's
-// hygiene across requests: a traced request's cursorStats, hooked onto
+// hygiene across requests: a traced request's ArchiveStats, hooked onto
 // the series' parked cursor for its decode span, must not move once the
 // request has returned, while untraced series and per-step reads on the
 // same (member, scenario) borrow that cursor from other goroutines —
@@ -268,7 +268,7 @@ func TestSeriesCursorUnhookedAfterRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := info.cursor
-	if first.decodes != t1-t0 || first.chunkMisses == 0 {
+	if first.StepDecodes != t1-t0 || first.ChunkMisses == 0 {
 		t.Fatalf("traced request's cursor stats %+v: want %d decodes and a chunk read", first, t1-t0)
 	}
 	var wg sync.WaitGroup
@@ -293,8 +293,8 @@ func TestSeriesCursorUnhookedAfterRequest(t *testing.T) {
 	if _, err := s.PointSeries(context.WithValue(context.Background(), requestInfoKey{}, again), member, scenario, 20, 30, t0, t1); err != nil {
 		t.Fatal(err)
 	}
-	if again.cursor.decodes != t1-t0 {
-		t.Fatalf("second traced request counted %d decodes, want %d", again.cursor.decodes, t1-t0)
+	if again.cursor.StepDecodes != t1-t0 {
+		t.Fatalf("second traced request counted %d decodes, want %d", again.cursor.StepDecodes, t1-t0)
 	}
 }
 

@@ -49,8 +49,11 @@ import (
 
 // Config tunes a Server.
 type Config struct {
-	// CacheBytes bounds the field cache (default 256 MiB): its float64
-	// fields plus the /v1/field response bodies kept beside them.
+	// CacheBytes bounds the field cache's live bytes (default 256 MiB):
+	// its float64 fields plus the /v1/field response bodies kept beside
+	// them. It does not bound the process: the garbage collector lets
+	// the heap grow to about twice its live bytes (GOGC=100) between
+	// cycles, and a busy server keeps it there.
 	CacheBytes int64
 	// LiveScenarios adds that many emulated-on-demand scenarios after
 	// the archive's own (scenario indices Scenarios() .. Scenarios() +
@@ -90,10 +93,6 @@ type Config struct {
 	// handler — an admin surface; only enable it where operators, not
 	// the public, reach the listener.
 	EnablePprof bool
-	// DisableMetrics turns off metric registration, the /metrics
-	// endpoint, and the instrument middleware (request logging still
-	// works). Mostly for measuring instrumentation overhead.
-	DisableMetrics bool
 	// TraceSampleRate is the fraction of requests (0..1) whose span
 	// tree is captured into the trace store. Sampling is head-based and
 	// deterministic on the trace ID, so a request sampled here is
@@ -141,8 +140,8 @@ type Server struct {
 	rejected   atomic.Int64 // requests shed by the in-flight cap (503)
 	inFlight   chan struct{}
 
-	metrics *serveMetrics // nil when Config.DisableMetrics
-	tracer  *tracer       // nil unless a tracing knob is configured
+	metrics *serveMetrics
+	tracer  *tracer // nil unless a tracing knob is configured
 
 	reqIDBase string       // per-process request-ID prefix
 	reqIDSeq  atomic.Int64 // request-ID sequence within the process
@@ -175,7 +174,7 @@ type Stats struct {
 	// limiter (0 when no cap is configured).
 	InFlight int
 	// Archive is the archive reader's counter snapshot, observed via the
-	// server's metric sink (all zero when metrics are disabled).
+	// server's metric sink.
 	Archive ArchiveStats
 }
 
@@ -227,10 +226,8 @@ func New(r *archive.Reader, model *emulator.Model, cfg Config) (*Server, error) 
 	// The ID base only needs to differ across server processes; the
 	// startup clock does, and stays readable in logs.
 	s.reqIDBase = fmt.Sprintf("%x", time.Now().UnixNano())
-	if !cfg.DisableMetrics {
-		s.metrics = newServeMetrics(s)
-		r.SetObserver(s.metrics)
-	}
+	s.metrics = newServeMetrics(s)
+	r.SetObserver(s.metrics)
 	s.tracer = newTracer(cfg)
 	return s, nil
 }
@@ -273,13 +270,8 @@ func (s *Server) Stats() Stats {
 
 // Metrics returns the server's metric registry — mount
 // Metrics().Handler() to expose it on an admin listener, or scrape it
-// in-process. Nil when Config.DisableMetrics is set.
-func (s *Server) Metrics() *obs.Registry {
-	if s.metrics == nil {
-		return nil
-	}
-	return s.metrics.reg
-}
+// in-process.
+func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 
 // liveRF returns the annual forcing of a live scenario: its assigned
 // what-if pathway, or nil (the training forcing) when none is assigned.
@@ -559,7 +551,7 @@ func (s *Server) series(ctx context.Context, member, scenario, t0, t1 int, q ser
 	clk := newLoopClock(ctx)
 	loopStart := time.Now()
 	var decodeD, evalD time.Duration
-	var cs *cursorStats
+	var cs *ArchiveStats
 	var vals []float64
 	err := s.r.WithSeries(member, scenario, func(cur *archive.Series) error {
 		cs = attachCursorStats(ctx, cur)
@@ -614,11 +606,11 @@ func (s *Server) PointSeries(ctx context.Context, member, scenario int, lat, lon
 	return out[0], nil
 }
 
-// attachCursorStats hooks the request's cursorStats onto a series
+// attachCursorStats hooks the request's cursor counters onto a series
 // cursor so the decode span can carry chunk/IO attribution; nil (and no
 // hook) outside a traced request, where no span would carry it.
 // WithSeries unhooks it before it parks the cursor.
-func attachCursorStats(ctx context.Context, cur *archive.Series) *cursorStats {
+func attachCursorStats(ctx context.Context, cur *archive.Series) *ArchiveStats {
 	info := stageInfo(ctx)
 	if currentSpan(ctx, info) == nil {
 		return nil

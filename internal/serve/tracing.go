@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"time"
 
-	"exaclim/internal/archive"
 	"exaclim/internal/obs/trace"
 )
 
@@ -199,43 +198,6 @@ func (c *loopClock) tock(acc *time.Duration) {
 	if c.on {
 		*acc += time.Since(c.mark)
 	}
-}
-
-// cursorStats is the per-request obs.Sink a series cursor reports into,
-// so the request's decode span can carry chunk and I/O attribution. A
-// cursor is single-goroutine by contract and is unhooked before another
-// request can borrow it, so plain fields suffice.
-type cursorStats struct {
-	decodes, readBytes, chunkHits, chunkMisses int64
-	chunkAmortized                             int64
-}
-
-// Add implements obs.Sink.
-func (c *cursorStats) Add(metric string, delta int64) {
-	switch metric {
-	case archive.MetricStepDecodes:
-		c.decodes += delta
-	case archive.MetricReadBytes:
-		c.readBytes += delta
-	case archive.MetricChunkHits:
-		c.chunkHits += delta
-	case archive.MetricChunkMisses:
-		c.chunkMisses += delta
-	case archive.MetricChunkAmortized:
-		c.chunkAmortized += delta
-	}
-}
-
-// annotate copies the accumulated counts onto a decode span.
-func (c *cursorStats) annotate(sp *trace.Span) {
-	if c == nil || sp == nil {
-		return
-	}
-	sp.SetAttr("decodes", c.decodes)
-	sp.SetAttr("read_bytes", c.readBytes)
-	sp.SetAttr("chunk_hits", c.chunkHits)
-	sp.SetAttr("chunk_misses", c.chunkMisses)
-	sp.SetAttr("chunk_amortized", c.chunkAmortized)
 }
 
 // handleTraces serves /debug/traces: the trace store's JSON export,

@@ -342,7 +342,6 @@ func TestTracedConcurrentScrape(t *testing.T) {
 		SlowTraceThreshold: time.Hour,
 		EnableTraceDebug:   true,
 	})
-	s.tracer.store = trace.NewStore(4096) // striped fill is binomial; leave headroom
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
