@@ -185,9 +185,10 @@ type (
 	ServeStats = serve.Stats
 	// ServeCacheStats is the field cache's counter snapshot.
 	ServeCacheStats = serve.CacheStats
-	// ServeArchiveStats is the archive reader's counter snapshot (step
-	// decodes, chunk-cache hits/misses, bytes read) as observed through
-	// the server's metric sink.
+	// ServeArchiveStats is the archive reader's read counts (step
+	// decodes, bytes read, chunk-cache hits, misses and amortized
+	// decodes): in ServeStats, the reader's totals since it was opened,
+	// whichever server read through it.
 	ServeArchiveStats = serve.ArchiveStats
 	// MetricsRegistry is the dependency-free metrics registry behind the
 	// server's /metrics endpoint; Server.Metrics returns the server's,

@@ -369,7 +369,7 @@ func heavyCall(pass *analysis.Pass, call *ast.CallExpr, rw *types.Interface) (na
 			}
 		}
 		// Metric recording: any call into the obs package (Counter.Inc,
-		// Histogram.Observe, Sink.Add, registration, exposition).
+		// Histogram.Observe, registration, exposition).
 		if fromPackage(pass, fun, "obs") {
 			return exprString(pass, fun), "metric observation"
 		}

@@ -67,12 +67,12 @@ func (s *Series) ReadPackedRange(t0, t1 int, fn func(t int, packed []float64) er
 // stops it after fn has seen the steps decoded before it. An empty range
 // (t0 == t1) is a no-op.
 //
-// Metrics: MetricStepDecodes and MetricChunkHits/Misses count as for
-// per-step reads, and every step beyond a chunk's first adds to
-// MetricChunkAmortized — the count of decodes that skipped per-step
-// chunk lookups because a batched walk kept the chunk in hand. A walk
-// that fn (or a corrupt record) stops early still reports every step it
-// decoded, the ones fn rejected included.
+// Counts: StepDecodes and ChunkHits/Misses count as for per-step reads,
+// and every step beyond a chunk's first adds to ChunkAmortized — the
+// count of decodes that skipped per-step chunk lookups because a batched
+// walk kept the chunk in hand. A walk that fn (or a corrupt record)
+// stops early still counts every step it decoded, the ones fn rejected
+// included.
 func (s *Series) ReadPackedBlocks(t0, t1, k int, fn func(t int, block []float64, n int) error) error {
 	if t0 == t1 {
 		return nil
@@ -116,10 +116,8 @@ func (s *Series) ReadPackedBlocks(t0, t1, k int, fn func(t int, block []float64,
 			t += n
 		}
 		if decoded > 0 {
-			s.observe(MetricStepDecodes, decoded)
-		}
-		if decoded > 1 {
-			s.observe(MetricChunkAmortized, decoded-1)
+			count(&s.counts.StepDecodes, &s.r.totals.stepDecodes, decoded)
+			count(&s.counts.ChunkAmortized, &s.r.totals.chunkAmortized, decoded-1)
 		}
 		if err != nil {
 			return err

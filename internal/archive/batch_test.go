@@ -148,47 +148,43 @@ func TestReadPackedRangeObserves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &countingSink{m: map[string]int64{}}
-	s.SetObserver(sink)
 	if err := s.ReadPackedRange(0, h.Steps, func(int, []float64) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	// Steps=7 in chunks of 3/3/1: three chunk loads, 7 decodes, and
 	// (3-1)+(3-1)+(1-1) = 4 amortized steps.
-	if got := sink.get(MetricChunkMisses); got != 3 {
-		t.Errorf("chunk misses = %d, want 3", got)
+	got := s.Counts()
+	if got.ChunkMisses != 3 {
+		t.Errorf("chunk misses = %d, want 3", got.ChunkMisses)
 	}
-	if got := sink.get(MetricChunkHits); got != 0 {
-		t.Errorf("chunk hits = %d, want 0", got)
+	if got.ChunkHits != 0 {
+		t.Errorf("chunk hits = %d, want 0", got.ChunkHits)
 	}
-	if got := sink.get(MetricStepDecodes); got != 7 {
-		t.Errorf("step decodes = %d, want 7", got)
+	if got.StepDecodes != 7 {
+		t.Errorf("step decodes = %d, want 7", got.StepDecodes)
 	}
-	if got := sink.get(MetricChunkAmortized); got != 4 {
-		t.Errorf("chunk amortized = %d, want 4", got)
+	if got.ChunkAmortized != 4 {
+		t.Errorf("chunk amortized = %d, want 4", got.ChunkAmortized)
 	}
-	if got := sink.get(MetricReadBytes); got <= 0 {
-		t.Errorf("read bytes = %d, want > 0", got)
+	if got.ReadBytes <= 0 {
+		t.Errorf("read bytes = %d, want > 0", got.ReadBytes)
 	}
 }
 
 // TestReadPackedRangeCountsAbandonedWalk pins the accounting of a walk
 // its callback abandons (a cancelled request): the steps decoded before
-// the stop — the one handed to the failing call included — are reported,
-// to the cursor sink and the reader sink alike. Before the fix the early
+// the stop — the one handed to the failing call included — are counted,
+// on the cursor and in the reader's totals alike. Before the fix the early
 // return skipped the whole chunk's count, so a series cancelled mid-chunk
 // under-reported by up to ChunkSteps decodes.
 func TestReadPackedRangeCountsAbandonedWalk(t *testing.T) {
 	const L = 8
 	r, h, _ := openTestArchive(t, L, mixedBands(L))
-	total := &countingSink{m: map[string]int64{}}
-	r.SetObserver(total)
+	before := r.Counts()
 	s, err := r.Series(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &countingSink{m: map[string]int64{}}
-	s.SetObserver(sink)
 	cancelled := errTest("cancelled")
 	// Chunks of 3: stopping at step 4 abandons the second chunk after its
 	// second step. Decoded: 0 1 2 | 3 4.
@@ -201,15 +197,15 @@ func TestReadPackedRangeCountsAbandonedWalk(t *testing.T) {
 	if err != cancelled {
 		t.Fatalf("walk returned %v, want the callback's error", err)
 	}
-	for name, c := range map[string]*countingSink{"cursor": sink, "reader": total} {
-		if got := c.get(MetricStepDecodes); got != 5 {
-			t.Errorf("%s sink: step decodes = %d, want 5", name, got)
+	for name, c := range map[string]Counts{"cursor": s.Counts(), "reader": r.Counts().Sub(before)} {
+		if c.StepDecodes != 5 {
+			t.Errorf("%s: step decodes = %d, want 5", name, c.StepDecodes)
 		}
-		if got := c.get(MetricChunkAmortized); got != 3 {
-			t.Errorf("%s sink: chunk amortized = %d, want (3-1)+(2-1) = 3", name, got)
+		if c.ChunkAmortized != 3 {
+			t.Errorf("%s: chunk amortized = %d, want (3-1)+(2-1) = 3", name, c.ChunkAmortized)
 		}
-		if got := c.get(MetricChunkMisses); got != 2 {
-			t.Errorf("%s sink: chunk misses = %d, want 2", name, got)
+		if c.ChunkMisses != 2 {
+			t.Errorf("%s: chunk misses = %d, want 2", name, c.ChunkMisses)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"exaclim/internal/obs"
 	"exaclim/internal/sht"
 	"exaclim/internal/sphere"
 )
@@ -47,8 +46,8 @@ type Reader struct {
 	// again, so a cursor is only ever used by one goroutine at a time.
 	idle []atomic.Pointer[Series]
 
-	// sink receives metric events (see obs.go); nil until SetObserver.
-	sink atomic.Pointer[sinkBox]
+	// totals counts every cursor's read events (see counts.go).
+	totals totals
 }
 
 // Open opens the archive file at path; Close releases it.
@@ -167,10 +166,11 @@ func (r *Reader) ensurePlan() (*sht.Plan, error) {
 	return r.plan, r.planErr
 }
 
-// readChunk reads and CRC-verifies chunk k of series sid into buf (grown
-// when too small), returning the backing buffer and the chunk's first
-// step. It takes no locks: the calling cursor owns buf outright.
-func (r *Reader) readChunk(sid, k int, buf []byte) (raw []byte, t0 int, err error) {
+// readChunk reads and CRC-verifies chunk k of the cursor's series into
+// buf (grown when too small), returning the backing buffer and the
+// chunk's first step. It takes no locks: the cursor owns buf outright.
+func (s *Series) readChunk(k int, buf []byte) (raw []byte, t0 int, err error) {
+	r, sid := s.r, s.sid
 	ref := r.index[sid][k]
 	if cap(buf) < int(ref.length) {
 		buf = make([]byte, ref.length)
@@ -179,7 +179,7 @@ func (r *Reader) readChunk(sid, k int, buf []byte) (raw []byte, t0 int, err erro
 	if _, err := r.r.ReadAt(buf, ref.off); err != nil {
 		return nil, 0, fmt.Errorf("archive: reading chunk: %w", err)
 	}
-	r.observe(MetricReadBytes, int64(len(buf)))
+	count(&s.counts.ReadBytes, &r.totals.readBytes, int64(len(buf)))
 	want := binary.LittleEndian.Uint32(buf[len(buf)-4:])
 	if got := crc32.ChecksumIEEE(buf[:len(buf)-4]); got != want {
 		return nil, 0, fmt.Errorf("archive: series %d chunk %d checksum mismatch (corrupt or truncated chunk)", sid, k)
@@ -234,9 +234,9 @@ func ReadPackedInto[E sht.Real](r *Reader, member, scenario, t int, dst []E) ([]
 // chunk buffer and block scratch serve read after read. Swap takes the
 // cursor out (a concurrent caller on the same series finds none and
 // opens its own, so racing reads never wait on each other); afterwards
-// the cursor's observer is cleared and the cursor is parked again — the
-// last caller to park wins. fn must not retain the cursor. A failed read
-// leaves the cursor without a resident chunk, so the next one re-reads.
+// the cursor is parked again — the last caller to park wins. fn must not
+// retain the cursor. A failed read leaves the cursor without a resident
+// chunk, so the next one re-reads.
 func (r *Reader) WithSeries(member, scenario int, fn func(*Series) error) error {
 	if err := r.h.checkCoord(member, scenario, 0); err != nil {
 		return err
@@ -247,7 +247,6 @@ func (r *Reader) WithSeries(member, scenario int, fn func(*Series) error) error 
 		cur = r.series(member, scenario)
 	}
 	err := fn(cur)
-	cur.sink = nil
 	idle.Store(cur)
 	return err
 }
@@ -331,24 +330,7 @@ type Series struct {
 	packed []float64
 	block  []float64 // ReadPackedBlocks' yielded steps (cursor-owned)
 
-	sink obs.Sink // optional per-cursor sink; see Series.SetObserver
-}
-
-// SetObserver installs (or, with nil, removes) a per-cursor sink that
-// receives this cursor's metric events in addition to the parent
-// reader's sink. A cursor is single-goroutine by contract, so a plain
-// field suffices; the serving layer uses it to attribute chunk and
-// decode counts to the one request driving the cursor (trace span
-// attributes) while the reader-level sink keeps the process totals.
-func (s *Series) SetObserver(sink obs.Sink) { s.sink = sink }
-
-// observe reports one metric event to the reader's sink and, when set,
-// the cursor's own.
-func (s *Series) observe(metric string, delta int64) {
-	s.r.observe(metric, delta)
-	if s.sink != nil {
-		s.sink.Add(metric, delta)
-	}
+	counts Counts // this cursor's read events; see Series.Counts
 }
 
 // Member returns the cursor's member index.
@@ -364,22 +346,16 @@ func (s *Series) Steps() int { return s.r.h.Steps }
 // it already is — the one chunk loader under per-step and range reads.
 func (s *Series) loadChunk(k int) error {
 	if s.chunk == k {
-		s.observe(MetricChunkHits, 1)
+		count(&s.counts.ChunkHits, &s.r.totals.chunkHits, 1)
 		return nil
 	}
 	// Invalidate before reading: a failed readChunk clobbers the reused
 	// buffer, so the old cache key must not survive it.
 	s.chunk = -1
-	s.observe(MetricChunkMisses, 1)
-	raw, t0, err := s.r.readChunk(s.sid, k, s.buf)
+	count(&s.counts.ChunkMisses, &s.r.totals.chunkMisses, 1)
+	raw, t0, err := s.readChunk(k, s.buf)
 	if err != nil {
 		return err
-	}
-	if s.sink != nil {
-		// readChunk reports its byte count to the reader sink only;
-		// mirror it to the cursor sink so per-request attribution sees
-		// the I/O its own chunk misses caused.
-		s.sink.Add(MetricReadBytes, int64(len(raw)))
 	}
 	s.buf, s.t0, s.chunk = raw, t0, k
 	return nil
@@ -416,7 +392,7 @@ func readStep[E sht.Real](s *Series, t int, dst []E) ([]E, error) {
 	if err := decodeStep(s.stepRecord(t), s.r.h.Bands, dst, nil); err != nil {
 		return nil, err
 	}
-	s.observe(MetricStepDecodes, 1)
+	count(&s.counts.StepDecodes, &s.r.totals.stepDecodes, 1)
 	return dst, nil
 }
 

@@ -236,29 +236,31 @@ func TestReaderConcurrentAccess(t *testing.T) {
 }
 
 // TestWithSeriesParksUnobservedCursor pins the parked cursor's hygiene:
-// an observer a borrower installs is removed before the cursor is parked,
-// so the next borrower's reads reach only the reader's sink, and the
-// cursor parked is the one borrowed, chunk buffer included.
+// a borrower attributes its own reads by the difference of the cursor's
+// counts, the cursor parked is the one borrowed, chunk buffer included,
+// and the next read runs on it.
 func TestWithSeriesParksUnobservedCursor(t *testing.T) {
 	r, h, data := openTestArchive(t, 8, UniformBands(8, tile.FP64))
-	sink := &countingSink{m: map[string]int64{}}
 	var borrowed *Series
+	var walk Counts
 	err := r.WithSeries(1, 0, func(cur *Series) error {
 		borrowed = cur
-		cur.SetObserver(sink)
-		return cur.ReadPackedRange(0, h.Steps, func(int, []float64) error { return nil })
+		c0 := cur.Counts()
+		err := cur.ReadPackedRange(0, h.Steps, func(int, []float64) error { return nil })
+		walk = cur.Counts().Sub(c0)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := sink.get(MetricStepDecodes)
-	if before != int64(h.Steps) {
-		t.Fatalf("borrower's sink saw %d decodes, want %d", before, h.Steps)
+	if walk.StepDecodes != int64(h.Steps) {
+		t.Fatalf("borrower counted %d decodes, want %d", walk.StepDecodes, h.Steps)
 	}
 	parked := r.idle[h.seriesID(1, 0)].Load()
-	if parked != borrowed || parked.sink != nil {
-		t.Fatalf("parked cursor %p (observer %v), want the borrowed %p with no observer", parked, parked.sink, borrowed)
+	if parked != borrowed {
+		t.Fatalf("parked cursor %p, want the borrowed %p", parked, borrowed)
 	}
+	before := parked.Counts()
 	got, err := r.ReadPacked(1, 0, 2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -268,8 +270,8 @@ func TestWithSeriesParksUnobservedCursor(t *testing.T) {
 			t.Fatalf("coeff %d: %g, want %g", i, v, data[0][1][2][i])
 		}
 	}
-	if got := sink.get(MetricStepDecodes); got != before {
-		t.Fatalf("a later read reported %d decodes to the earlier borrower's sink", got-before)
+	if d := parked.Counts().Sub(before); d.StepDecodes != 1 {
+		t.Fatalf("a later read decoded %d steps on the parked cursor, want 1", d.StepDecodes)
 	}
 	if err := r.WithSeries(h.Members, 0, func(*Series) error { return nil }); err == nil {
 		t.Fatal("out-of-range member did not error")

@@ -6,9 +6,9 @@
 //
 // Design constraints, in order:
 //
-//   - No dependencies beyond the standard library, so the deterministic
-//     packages (archive, emulator, ...) can accept a Sink without
-//     pulling a metrics client into the reproducibility-audited build.
+//   - No dependencies beyond the standard library, so instrumenting a
+//     layer never pulls a metrics client into the reproducibility-audited
+//     build.
 //   - Recording is wait-free on the hot path: Counter.Add, Gauge.Set
 //     and Histogram.Observe are single atomic operations (the histogram
 //     adds one CAS loop for the sum); labeled lookups through
@@ -34,17 +34,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Sink is the minimal instrumentation interface clock-free packages
-// accept: a named counter increment. The deterministic tiers (archive)
-// call it with package-defined metric name constants and leave the
-// mapping onto registered metrics to the serving layer, so they depend
-// on one tiny interface instead of a registry. Implementations must be
-// safe for concurrent use; calls must never be made while holding a
-// cache-shard mutex (the lockedcall invariant).
-type Sink interface {
-	Add(metric string, delta int64)
-}
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {

@@ -8,15 +8,11 @@ import (
 
 // serveMetrics is the server's registered metric surface: the hot-path
 // families the HTTP middleware records into (request counts, latency
-// histograms, in-flight gauge), stored counters fed by the archive
-// reader's obs.Sink, and scrape-time bridges over the instrumentation
-// that already lives in atomic Server fields — the bridges sample at
-// scrape time, so nothing is double-counted and the serving hot path
-// pays no extra recording cost for them.
-//
-// serveMetrics implements obs.Sink for the archive reader: the reader
-// reports metric-name constants, and the mapping onto registered
-// families lives here, at the layer that owns the registry.
+// histograms, in-flight gauge), and scrape-time bridges over the
+// counters the layers that count already own — the Server's atomics,
+// the field cache's, and the archive reader's (Reader.Counts). The
+// bridges sample at scrape time, so nothing is double-counted and the
+// serving hot path pays no extra recording cost for them.
 type serveMetrics struct {
 	reg *obs.Registry
 
@@ -25,13 +21,6 @@ type serveMetrics struct {
 	reqLatency    *obs.HistogramVec // exaclim_http_request_duration_seconds{path}
 	inFlight      *obs.Gauge        // exaclim_http_in_flight_requests
 	stageDuration *obs.HistogramVec // exaclim_stage_duration_seconds{stage}
-
-	// Fed by the archive reader through the Sink interface.
-	archStepDecodes    *obs.Counter
-	archReadBytes      *obs.Counter
-	archChunkHits      *obs.Counter
-	archChunkMisses    *obs.Counter
-	archChunkAmortized *obs.Counter
 }
 
 // newServeMetrics builds the registry for one server. Families are
@@ -51,18 +40,24 @@ func newServeMetrics(s *Server) *serveMetrics {
 		"Per-request time attributed to each serving stage (cache, decode, synthesis, eval, emulate, encode); sampled requests attach trace-ID exemplars.",
 		stageDurationBuckets, "stage")
 
-	m.archStepDecodes = reg.Counter("exaclim_archive_step_decodes_total",
-		"Coefficient records decoded from the archive.")
-	m.archReadBytes = reg.Counter("exaclim_archive_read_bytes_total",
-		"Raw bytes read from the archive file by chunk I/O.")
-	m.archChunkHits = reg.Counter("exaclim_archive_chunk_hits_total",
-		"Archive reads served from a cached chunk.")
-	m.archChunkMisses = reg.Counter("exaclim_archive_chunk_misses_total",
-		"Archive reads that had to fetch a chunk.")
-	m.archChunkAmortized = reg.Counter("exaclim_archive_chunk_amortized_total",
-		"Step decodes that skipped per-step chunk lookups because a batched range walk kept the chunk in hand.")
+	// Scrape-time bridges over the counters the layers that count
+	// already keep: the archive reader's, the server's, the field cache's.
+	reg.CounterFunc("exaclim_archive_step_decodes_total",
+		"Coefficient records decoded from the archive.",
+		func() float64 { return float64(s.r.Counts().StepDecodes) })
+	reg.CounterFunc("exaclim_archive_read_bytes_total",
+		"Raw bytes read from the archive file by chunk I/O.",
+		func() float64 { return float64(s.r.Counts().ReadBytes) })
+	reg.CounterFunc("exaclim_archive_chunk_hits_total",
+		"Archive reads served from a cached chunk.",
+		func() float64 { return float64(s.r.Counts().ChunkHits) })
+	reg.CounterFunc("exaclim_archive_chunk_misses_total",
+		"Archive reads that had to fetch a chunk.",
+		func() float64 { return float64(s.r.Counts().ChunkMisses) })
+	reg.CounterFunc("exaclim_archive_chunk_amortized_total",
+		"Step decodes that skipped per-step chunk lookups because a batched range walk kept the chunk in hand.",
+		func() float64 { return float64(s.r.Counts().ChunkAmortized) })
 
-	// Scrape-time bridges over the server's existing atomic counters.
 	reg.CounterFunc("exaclim_requests_total",
 		"Queries answered, of any kind.",
 		func() float64 { return float64(s.requests.Load()) })
@@ -99,79 +94,18 @@ func newServeMetrics(s *Server) *serveMetrics {
 	return m
 }
 
-// Add implements obs.Sink for the archive reader. Unknown metric names
-// are dropped: an older serving layer fronting a newer archive package
-// must not panic on a constant it does not know.
-func (m *serveMetrics) Add(metric string, delta int64) {
-	switch metric {
-	case archive.MetricStepDecodes:
-		m.archStepDecodes.Add(delta)
-	case archive.MetricReadBytes:
-		m.archReadBytes.Add(delta)
-	case archive.MetricChunkHits:
-		m.archChunkHits.Add(delta)
-	case archive.MetricChunkMisses:
-		m.archChunkMisses.Add(delta)
-	case archive.MetricChunkAmortized:
-		m.archChunkAmortized.Add(delta)
-	}
-}
+// ArchiveStats is the archive reader's read counts (step decodes,
+// bytes read, chunk-cache hits, misses and amortized decodes). In
+// Stats it is the reader's totals since it was opened, whichever server
+// or caller read through it.
+type ArchiveStats = archive.Counts
 
-// ArchiveStats is the archive reader's metric snapshot as observed
-// through the server's sink. It is an obs.Sink itself: a traced series
-// request's cursor reports into one, so the request's decode span can
-// carry chunk and I/O attribution. A cursor is single-goroutine by
-// contract and is unhooked before another request can borrow it, so
-// plain fields suffice.
-type ArchiveStats struct {
-	// StepDecodes counts coefficient records decoded.
-	StepDecodes int64
-	// ReadBytes counts raw bytes read from the archive file.
-	ReadBytes int64
-	// ChunkHits and ChunkMisses count reads served from, respectively
-	// past, the per-series chunk cache.
-	ChunkHits   int64
-	ChunkMisses int64
-	// ChunkAmortized counts step decodes amortized onto an
-	// already-loaded chunk by batched range reads.
-	ChunkAmortized int64
-}
-
-// Add implements obs.Sink.
-func (a *ArchiveStats) Add(metric string, delta int64) {
-	switch metric {
-	case archive.MetricStepDecodes:
-		a.StepDecodes += delta
-	case archive.MetricReadBytes:
-		a.ReadBytes += delta
-	case archive.MetricChunkHits:
-		a.ChunkHits += delta
-	case archive.MetricChunkMisses:
-		a.ChunkMisses += delta
-	case archive.MetricChunkAmortized:
-		a.ChunkAmortized += delta
-	}
-}
-
-// annotate copies the counts onto a decode span.
-func (a *ArchiveStats) annotate(sp *trace.Span) {
-	if a == nil || sp == nil {
-		return
-	}
-	sp.SetAttr("decodes", a.StepDecodes)
-	sp.SetAttr("read_bytes", a.ReadBytes)
-	sp.SetAttr("chunk_hits", a.ChunkHits)
-	sp.SetAttr("chunk_misses", a.ChunkMisses)
-	sp.SetAttr("chunk_amortized", a.ChunkAmortized)
-}
-
-// archiveStats snapshots the sink-fed archive counters.
-func (m *serveMetrics) archiveStats() ArchiveStats {
-	return ArchiveStats{
-		StepDecodes:    m.archStepDecodes.Value(),
-		ReadBytes:      m.archReadBytes.Value(),
-		ChunkHits:      m.archChunkHits.Value(),
-		ChunkMisses:    m.archChunkMisses.Value(),
-		ChunkAmortized: m.archChunkAmortized.Value(),
-	}
+// annotateArchive copies a series walk's archive counts onto its decode
+// span.
+func annotateArchive(sp *trace.Span, c archive.Counts) {
+	sp.SetAttr("decodes", c.StepDecodes)
+	sp.SetAttr("read_bytes", c.ReadBytes)
+	sp.SetAttr("chunk_hits", c.ChunkHits)
+	sp.SetAttr("chunk_misses", c.ChunkMisses)
+	sp.SetAttr("chunk_amortized", c.ChunkAmortized)
 }

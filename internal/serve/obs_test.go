@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -102,6 +103,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"exaclim_archive_read_bytes_total":      "counter",
 		"exaclim_archive_chunk_hits_total":      "counter",
 		"exaclim_archive_chunk_misses_total":    "counter",
+		"exaclim_archive_chunk_amortized_total": "counter",
 		"exaclim_goroutines":                    "gauge",
 		"exaclim_heap_alloc_bytes":              "gauge",
 		"exaclim_gc_cycles_total":               "counter",
@@ -134,7 +136,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf(`requests{/v1/point,200} = %g, want 1`, got)
 	}
 
-	// The sink-fed archive counters surface in Stats() too, and the
+	// The reader's archive counts surface in Stats() too, and the
 	// exposition agrees with the snapshot.
 	st := s.Stats()
 	if st.Archive.StepDecodes == 0 || st.Archive.ReadBytes == 0 {
@@ -151,6 +153,67 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Cache bridge: one miss and one hit from the duplicate field fetch.
 	if st.Cache.Hits < 1 || st.Cache.Misses < 1 {
 		t.Errorf("cache stats not populated: %+v", st.Cache)
+	}
+}
+
+// archiveDecodes scrapes exaclim_archive_step_decodes_total of srv.
+func archiveDecodes(t *testing.T, srv *httptest.Server) float64 {
+	t.Helper()
+	f := metricFamilies(t, srv)["exaclim_archive_step_decodes_total"]
+	if f == nil || len(f.Samples) != 1 {
+		t.Fatalf("exaclim_archive_step_decodes_total: %+v", f)
+	}
+	return f.Samples[0].Value
+}
+
+// TestArchiveCountsSurviveSecondServer pins Stats().Archive and the
+// exaclim_archive_* families as the reader's totals: a second server
+// built over the same reader leaves the first one's counts advancing
+// with the reads served through it.
+func TestArchiveCountsSurviveSecondServer(t *testing.T) {
+	first, r := testServer(t)
+	if _, err := New(r, nil, Config{CacheBytes: fixCacheCap}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(first.Handler())
+	defer srv.Close()
+	st0, exp0 := first.Stats().Archive, archiveDecodes(t, srv)
+	if _, err := first.PointSeries(context.Background(), 0, 0, 12, 34, 0, 9); err != nil {
+		t.Fatal(err)
+	}
+	st1, exp1 := first.Stats().Archive, archiveDecodes(t, srv)
+	if d := st1.StepDecodes - st0.StepDecodes; d != 9 {
+		t.Errorf("Stats().Archive.StepDecodes advanced by %d, want 9", d)
+	}
+	if d := exp1 - exp0; d != 9 {
+		t.Errorf("exaclim_archive_step_decodes_total advanced by %g, want 9", d)
+	}
+	if st1 != r.Counts() {
+		t.Errorf("Stats().Archive = %+v, want the reader's counts %+v", st1, r.Counts())
+	}
+}
+
+// TestInfoArchiveStatsKeys pins the JSON keys of /v1/info's
+// stats.Archive object, which clients decode by name.
+func TestInfoArchiveStatsKeys(t *testing.T) {
+	s, _ := testServer(t)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	var info map[string]any
+	httpGetJSON(t, srv.URL+"/v1/info", &info)
+	stats, _ := info["stats"].(map[string]any)
+	arch, ok := stats["Archive"].(map[string]any)
+	if !ok {
+		t.Fatalf("/v1/info stats.Archive missing or not an object: %v", stats)
+	}
+	want := []string{"StepDecodes", "ReadBytes", "ChunkHits", "ChunkMisses", "ChunkAmortized"}
+	for _, k := range want {
+		if _, ok := arch[k].(float64); !ok {
+			t.Errorf("stats.Archive[%q] = %v, want a number", k, arch[k])
+		}
+	}
+	if len(arch) != len(want) {
+		t.Errorf("stats.Archive has keys %v, want exactly %v", arch, want)
 	}
 }
 

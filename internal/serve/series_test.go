@@ -251,25 +251,37 @@ func TestSeriesBlocksAcrossChunkSeams(t *testing.T) {
 	}
 }
 
-// TestSeriesCursorUnhookedAfterRequest pins the borrowed cursor's
-// hygiene across requests: a traced request's ArchiveStats, hooked onto
-// the series' parked cursor for its decode span, must not move once the
-// request has returned, while untraced series and per-step reads on the
-// same (member, scenario) borrow that cursor from other goroutines —
-// under -race, a hand-over through the parking slot that is not
-// synchronized is reported.
+// TestSeriesCursorUnhookedAfterRequest pins a traced series request's
+// decode-span attribution on the series' parked cursor: the span carries
+// the request's own walk — t1-t0 decodes and a chunk read — also after
+// untraced series and per-step reads on the same (member, scenario) have
+// borrowed that cursor from other goroutines in between. Under -race, a
+// hand-over through the parking slot that is not synchronized is
+// reported.
 func TestSeriesCursorUnhookedAfterRequest(t *testing.T) {
 	s, r := testServer(t)
 	const member, scenario, t0, t1 = 1, 1, 2, 37
-	_, root := trace.New("test", trace.Options{})
-	info := &requestInfo{span: root}
-	traced := context.WithValue(context.Background(), requestInfoKey{}, info)
-	if _, err := s.PointSeries(traced, member, scenario, 20, 30, t0, t1); err != nil {
-		t.Fatal(err)
+	decodeAttrs := func() map[string]any {
+		t.Helper()
+		tr, root := trace.New("test", trace.Options{})
+		traced := context.WithValue(context.Background(), requestInfoKey{}, &requestInfo{span: root})
+		if _, err := s.PointSeries(traced, member, scenario, 20, 30, t0, t1); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		store := trace.NewStore(1)
+		store.Add(tr)
+		for _, sp := range store.Export().Traces[0].Spans {
+			if sp.Name == "decode" {
+				return sp.Attrs
+			}
+		}
+		t.Fatal("traced series request recorded no decode span")
+		return nil
 	}
-	first := info.cursor
-	if first.StepDecodes != t1-t0 || first.ChunkMisses == 0 {
-		t.Fatalf("traced request's cursor stats %+v: want %d decodes and a chunk read", first, t1-t0)
+	first := decodeAttrs()
+	if first["decodes"] != int64(t1-t0) || first["chunk_misses"] == int64(0) {
+		t.Fatalf("traced request's decode span %v: want %d decodes and a chunk read", first, t1-t0)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -285,25 +297,9 @@ func TestSeriesCursorUnhookedAfterRequest(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if info.cursor != first {
-		t.Fatalf("finished request's cursor stats moved from %+v to %+v", first, info.cursor)
-	}
 	// The same request again counts only its own walk.
-	again := &requestInfo{span: root}
-	if _, err := s.PointSeries(context.WithValue(context.Background(), requestInfoKey{}, again), member, scenario, 20, 30, t0, t1); err != nil {
-		t.Fatal(err)
-	}
-	if again.cursor.StepDecodes != t1-t0 {
-		t.Fatalf("second traced request counted %d decodes, want %d", again.cursor.StepDecodes, t1-t0)
-	}
-}
-
-// decodeCounter is an obs.Sink counting archive step decodes.
-type decodeCounter struct{ n atomic.Int64 }
-
-func (c *decodeCounter) Add(metric string, delta int64) {
-	if metric == archive.MetricStepDecodes {
-		c.n.Add(delta)
+	if again := decodeAttrs(); again["decodes"] != int64(t1-t0) {
+		t.Fatalf("second traced request's decode span %v: want %d decodes", again, t1-t0)
 	}
 }
 
@@ -359,25 +355,25 @@ func TestSeriesCancelStopsWithinOneBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodes := &decodeCounter{}
-	r.SetObserver(decodes)
+	decodes := func() int64 { return r.Counts().StepDecodes }
+	start := decodes()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.PointsSeries(ctx, 0, 0, []float64{10, -40}, []float64{5, 100}, 0, steps); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled series: err = %v, want context.Canceled", err)
 	}
-	if n := decodes.n.Load(); n > evalSteps {
+	if n := decodes() - start; n > evalSteps {
 		t.Fatalf("cancelled series decoded %d steps, want at most %d", n, evalSteps)
 	}
 
 	for _, after := range []int64{1, 5} {
-		before := decodes.n.Load()
+		before := decodes()
 		ctx := &cancelAfter{Context: context.Background(), after: after}
 		if _, err := s.PointSeries(ctx, 0, 0, 10, 5, 0, steps); !errors.Is(err, context.Canceled) {
 			t.Fatalf("series cancelled after %d checks: err = %v, want context.Canceled", after, err)
 		}
-		if n := decodes.n.Load() - before; n > (after+1)*evalSteps {
+		if n := decodes() - before; n > (after+1)*evalSteps {
 			t.Fatalf("series cancelled after %d checks decoded %d steps, want at most %d", after, n, (after+1)*evalSteps)
 		}
 	}

@@ -173,8 +173,8 @@ type Stats struct {
 	// InFlight is the number of requests currently inside the in-flight
 	// limiter (0 when no cap is configured).
 	InFlight int
-	// Archive is the archive reader's counter snapshot, observed via the
-	// server's metric sink.
+	// Archive is the archive reader's read counts since it was opened:
+	// the reader's totals, whichever server or caller read through it.
 	Archive ArchiveStats
 }
 
@@ -227,7 +227,6 @@ func New(r *archive.Reader, model *emulator.Model, cfg Config) (*Server, error) 
 	// startup clock does, and stays readable in logs.
 	s.reqIDBase = fmt.Sprintf("%x", time.Now().UnixNano())
 	s.metrics = newServeMetrics(s)
-	r.SetObserver(s.metrics)
 	s.tracer = newTracer(cfg)
 	return s, nil
 }
@@ -260,7 +259,7 @@ func (s *Server) Stats() Stats {
 		LiveLoads:  s.liveLoads.Load(),
 		Requests:   s.requests.Load(),
 		Rejected:   s.rejected.Load(),
-		Archive:    s.metrics.archiveStats(),
+		Archive:    s.r.Counts(),
 	}
 	if s.inFlight != nil {
 		st.InFlight = len(s.inFlight)
@@ -551,10 +550,10 @@ func (s *Server) series(ctx context.Context, member, scenario, t0, t1 int, q ser
 	clk := newLoopClock(ctx)
 	loopStart := time.Now()
 	var decodeD, evalD time.Duration
-	var cs *ArchiveStats
+	var walk archive.Counts // the cursor's counts over this request's walks
 	var vals []float64
 	err := s.r.WithSeries(member, scenario, func(cur *archive.Series) error {
-		cs = attachCursorStats(ctx, cur)
+		c0 := cur.Counts()
 		for lo := 0; lo < q.n; lo += evalBlockRows {
 			clk.tick()
 			ev := q.rows(lo, min(lo+evalBlockRows, q.n))
@@ -583,13 +582,14 @@ func (s *Server) series(ctx context.Context, member, scenario, t0, t1 int, q ser
 				return err
 			}
 		}
+		walk = cur.Counts().Sub(c0)
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	steps := int64((q.n+evalBlockRows-1)/evalBlockRows) * int64(t1-t0) // one walk per block
-	cs.annotate(recordStage(ctx, stageDecode, loopStart, decodeD, steps))
+	annotateArchive(recordStage(ctx, stageDecode, loopStart, decodeD, steps), walk)
 	return out, recordStage(ctx, stageEval, loopStart, evalD, steps), nil
 }
 
@@ -604,19 +604,6 @@ func (s *Server) PointSeries(ctx context.Context, member, scenario int, lat, lon
 		return nil, err
 	}
 	return out[0], nil
-}
-
-// attachCursorStats hooks the request's cursor counters onto a series
-// cursor so the decode span can carry chunk/IO attribution; nil (and no
-// hook) outside a traced request, where no span would carry it.
-// WithSeries unhooks it before it parks the cursor.
-func attachCursorStats(ctx context.Context, cur *archive.Series) *ArchiveStats {
-	info := stageInfo(ctx)
-	if currentSpan(ctx, info) == nil {
-		return nil
-	}
-	cur.SetObserver(&info.cursor)
-	return &info.cursor
 }
 
 // maxBatchPoints bounds one multi-point query, keeping the response size
