@@ -115,38 +115,14 @@ func runPipeline() {
 		mapDir   = flag.String("maps", "", "write PGM maps of the first emulated field")
 	)
 	flag.Parse()
-	v := parseVariant(*variant)
+	cfg := emulatorConfig(*l, *p, *variant, *daily, 0)
 
 	var model *exaclim.Model
 	if *loadPath != "" {
 		model = loadModel(*loadPath)
 	} else {
-		gen, err := exaclim.NewSynthetic(exaclim.SyntheticConfig{
-			Grid: exaclim.GridForBandLimit(*gridL), L: *gridL,
-			Seed: *seed, StartYear: 1990, StepsPerDay: *daily,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		steps := *years * exaclim.DaysPerYear * *daily
-		fmt.Printf("synthesizing %d steps on %v...\n", steps, exaclim.GridForBandLimit(*gridL))
-		sim := gen.Run(steps)
-
-		trendOpt := exaclim.TrendOptions{
-			StepsPerYear: exaclim.DaysPerYear * *daily, K: 2,
-			RhoGrid: []float64{0.5, 0.85},
-		}
-		if *daily > 1 {
-			trendOpt.StepsPerDay = *daily
-			trendOpt.KDiurnal = 1
-		}
-		fmt.Printf("training emulator: L=%d P=%d variant=%s...\n", *l, *p, v)
-		model, err = exaclim.Train([][]exaclim.Field{sim}, gen.AnnualRF(15, *years+1), 15, exaclim.Config{
-			L: *l, P: *p, Variant: v, SenderConvert: true, Trend: trendOpt,
-		})
-		if err != nil {
-			fatal(err)
-		}
+		var sim []exaclim.Field
+		model, sim = trainSynthetic(*gridL, *seed, 1990, *years, *years+1, cfg)
 		d := model.Diag
 		fmt.Printf("trained: covariance %dx%d, tiles %d, factor %.2f MB (DP would be %.2f MB), factorization %.2fs, %d conversions\n",
 			d.CovDim, d.CovDim, d.TileSize, float64(d.FactorBytes)/1e6, float64(d.FactorBytesDP)/1e6,
@@ -172,17 +148,50 @@ func runPipeline() {
 		fmt.Printf("emulation summary: %v\n", sum)
 		fmt.Println(emu[0].ASCIIMap(18, 72))
 		if *mapDir != "" {
-			if err := os.MkdirAll(*mapDir, 0o755); err != nil {
-				fatal(err)
-			}
-			path := filepath.Join(*mapDir, "emulation_t0.pgm")
-			lo, hi := emu[0].MinMax()
-			if err := emu[0].SavePGM(path, lo, hi); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", path)
+			writeMap(*mapDir, "emulation_t0.pgm", emu[0])
 		}
 	}
+}
+
+// emulatorConfig is the CLI's one emulator recipe: VAR(p) at band
+// limit l in the named Cholesky variant, sender-side tile conversion,
+// and a trend of two annual harmonics (plus a diurnal one when a day
+// holds more than one step) with its forcing response searched over
+// rho in {0.5, 0.85}.
+func emulatorConfig(l, p int, variant string, stepsPerDay, workers int) exaclim.Config {
+	trend := exaclim.TrendOptions{StepsPerYear: exaclim.DaysPerYear * stepsPerDay, K: 2, RhoGrid: []float64{0.5, 0.85}}
+	if stepsPerDay > 1 {
+		trend.StepsPerDay, trend.KDiurnal = stepsPerDay, 1
+	}
+	return exaclim.Config{
+		L: l, P: p, Variant: parseVariant(variant), SenderConvert: true,
+		Workers: workers, Trend: trend,
+	}
+}
+
+// trainSynthetic trains cfg on `years` years of one synthetic member
+// (grid of band limit gridL, calendar from startYear, cfg's steps per
+// day) under the generator's forcing from 15 lead years before
+// startYear through rfYears years from it, and returns the model with
+// the simulation it fitted.
+func trainSynthetic(gridL int, seed int64, startYear, years, rfYears int, cfg exaclim.Config) (*exaclim.Model, []exaclim.Field) {
+	grid := exaclim.GridForBandLimit(gridL)
+	gen, err := exaclim.NewSynthetic(exaclim.SyntheticConfig{
+		Grid: grid, L: gridL, Seed: seed, StartYear: startYear,
+		StepsPerDay: cfg.Trend.StepsPerYear / exaclim.DaysPerYear,
+	})
+	if err != nil {
+		fatal(err)
+	}
+	sim := gen.Run(years * cfg.Trend.StepsPerYear)
+	fmt.Printf("training emulator: L=%d P=%d variant=%s on %d synthetic steps of grid %v...\n",
+		cfg.L, cfg.P, cfg.Variant, len(sim), grid)
+	const lead = 15
+	model, err := exaclim.Train([][]exaclim.Field{sim}, gen.AnnualRF(lead, rfYears), lead, cfg)
+	if err != nil {
+		fatal(err)
+	}
+	return model, sim
 }
 
 // campaignFlags bundles the train-or-load flags shared by the campaign
@@ -195,10 +204,6 @@ type campaignFlags struct {
 	seed               *int64
 	workers            *int
 	stabilize          *string
-
-	// Parsed by validate from -stabilize.
-	stabSet                       bool
-	stabStart, stabPPM, stabEfold float64
 }
 
 func addCampaignFlags(fs *flag.FlagSet) *campaignFlags {
@@ -230,8 +235,7 @@ func (c *campaignFlags) validate() {
 	}
 	parseVariant(*c.variant)
 	if *c.stabilize != "" {
-		c.stabStart, c.stabPPM, c.stabEfold = parseStabilize(*c.stabilize)
-		c.stabSet = true
+		parseStabilize(*c.stabilize)
 	}
 }
 
@@ -241,58 +245,29 @@ func (c *campaignFlags) buildModel() *exaclim.Model {
 	if *c.loadPath != "" {
 		return loadModel(*c.loadPath)
 	}
-	gen, err := exaclim.NewSynthetic(exaclim.SyntheticConfig{
-		Grid: exaclim.GridForBandLimit(*c.gridL), L: *c.gridL,
-		Seed: *c.seed, StartYear: *c.startYear, StepsPerDay: 1,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	sim := gen.Run(*c.years * exaclim.DaysPerYear)
-	fmt.Printf("training emulator: L=%d P=%d on %d synthetic steps...\n", *c.l, *c.p, len(sim))
-	lead := 15
-	model, err := exaclim.Train([][]exaclim.Field{sim}, gen.AnnualRF(lead, *c.years+(*c.t0+*c.steps)/exaclim.DaysPerYear+1), lead,
-		exaclim.Config{
-			L: *c.l, P: *c.p, Variant: parseVariant(*c.variant), SenderConvert: true,
-			Trend: exaclim.TrendOptions{
-				StepsPerYear: exaclim.DaysPerYear, K: 2,
-				RhoGrid: []float64{0.5, 0.85},
-			},
-		})
-	if err != nil {
-		fatal(err)
-	}
+	rfYears := *c.years + (*c.t0+*c.steps)/exaclim.DaysPerYear + 1
+	model, _ := trainSynthetic(*c.gridL, *c.seed, *c.startYear, *c.years, rfYears,
+		emulatorConfig(*c.l, *c.p, *c.variant, 1, 0))
 	return model
 }
 
-// buildScenarios returns the campaign scenario list: the training
-// forcing plus the stabilization pathway validate() parsed, if any.
-func (c *campaignFlags) buildScenarios(model *exaclim.Model) []exaclim.EnsembleScenario {
-	scenarios := []exaclim.EnsembleScenario{{Name: "training-forcing"}}
-	if c.stabSet {
-		sc := exaclim.Stabilization(c.stabStart, c.stabPPM, c.stabEfold)
-		lead := model.Trend.Lead
-		nYears := len(model.Trend.AnnualRF())
-		scenarios = append(scenarios, exaclim.EnsembleScenario{
-			Name:     sc.Name,
-			AnnualRF: sc.Annual(*c.startYear-lead, nYears),
-		})
-	}
-	return scenarios
+// pathways returns the campaign's forcing set under model: its training
+// record plus the -stabilize pathway, if any.
+func (c *campaignFlags) pathways(model *exaclim.Model) exaclim.PathwaySet {
+	return campaignPathways(model.Trend.AnnualRF(), *c.startYear, model.Trend.Lead, *c.stabilize)
 }
 
-// pathwaySet converts the campaign scenario list into a named pathway
-// set (nil forcing resolves to the model's training record) — the
-// forcing sidecar `archive -rf-out` writes and `retrain -scenarios all`
-// / `serve -live-rf` read back.
-func pathwaySet(model *exaclim.Model, scenarios []exaclim.EnsembleScenario) exaclim.PathwaySet {
-	pathways := make([]exaclim.Pathway, len(scenarios))
-	for i, sc := range scenarios {
-		rf := sc.AnnualRF
-		if rf == nil {
-			rf = model.Trend.AnnualRF()
-		}
-		pathways[i] = exaclim.Pathway{Name: sc.Name, Annual: rf}
+// campaignPathways builds a campaign's forcing set: the training record
+// rf (whose year 0 is startYear-lead) as "training-forcing", plus the
+// startYear:targetPPM:efold stabilization pathway on the same calendar
+// when stabilize is set. archive emulates and writes (-rf-out) this set
+// and retrain -scenarios all rebuilds it from the same flags, so the
+// two agree by construction.
+func campaignPathways(rf []float64, startYear, lead int, stabilize string) exaclim.PathwaySet {
+	pathways := []exaclim.Pathway{{Name: "training-forcing", Annual: rf}}
+	if stabilize != "" {
+		sc := exaclim.Stabilization(parseStabilize(stabilize))
+		pathways = append(pathways, sc.Pathway(startYear-lead, len(rf)))
 	}
 	set, err := exaclim.NewPathwaySet(pathways...)
 	if err != nil {
@@ -301,8 +276,14 @@ func pathwaySet(model *exaclim.Model, scenarios []exaclim.EnsembleScenario) exac
 	return set
 }
 
-// spec assembles the EnsembleSpec from the parsed flags.
-func (c *campaignFlags) spec(scenarios []exaclim.EnsembleScenario) exaclim.EnsembleSpec {
+// spec assembles the EnsembleSpec from the parsed flags: one scenario
+// per pathway of set, scenario 0 under the model's own record.
+func (c *campaignFlags) spec(set exaclim.PathwaySet) exaclim.EnsembleSpec {
+	scenarios := make([]exaclim.EnsembleScenario, set.Len())
+	for i, pw := range set.Pathways {
+		scenarios[i] = exaclim.EnsembleScenario{Name: pw.Name, AnnualRF: pw.Annual}
+	}
+	scenarios[0].AnnualRF = nil
 	return exaclim.EnsembleSpec{
 		Members: *c.members, T0: *c.t0, Steps: *c.steps,
 		BaseSeed: *c.seed, Scenarios: scenarios, Workers: *c.workers,
@@ -319,8 +300,8 @@ func runEnsemble(args []string) {
 	fs.Parse(args)
 	cf.validate()
 	model := cf.buildModel()
-	scenarios := cf.buildScenarios(model)
-	spec := cf.spec(scenarios)
+	spec := cf.spec(cf.pathways(model))
+	scenarios := spec.Scenarios
 	fmt.Printf("emulating %d members x %d scenarios x %d steps...\n",
 		spec.Members, len(scenarios), spec.Steps)
 
@@ -391,9 +372,8 @@ func runArchive(args []string) {
 	policy := exaclim.ArchivePolicy{MaxRelErr: *budget, Safety: *safety}
 	bands := policy.PlanBands(exaclim.MeanPowerSpectrum(plan, probeFields))
 
-	scenarios := cf.buildScenarios(model)
+	set := cf.pathways(model)
 	if *rfOut != "" {
-		set := pathwaySet(model, scenarios)
 		if err := set.Save(*rfOut); err != nil {
 			fatal(err)
 		}
@@ -401,7 +381,7 @@ func runArchive(args []string) {
 	}
 	header := exaclim.ArchiveHeader{
 		Grid: grid, L: la,
-		Members: *cf.members, Scenarios: len(scenarios), Steps: *cf.steps,
+		Members: *cf.members, Scenarios: set.Len(), Steps: *cf.steps,
 		ChunkSteps: *chunk, Bands: bands, MaxRelErr: *budget,
 	}
 	w, err := exaclim.CreateArchive(*out, header)
@@ -414,7 +394,7 @@ func runArchive(args []string) {
 		fmt.Printf("  band %v: %d coefficients\n", b, b.Coeffs())
 	}
 
-	spec := cf.spec(scenarios)
+	spec := cf.spec(set)
 	var once sync.Once
 	var addErr error
 	start := time.Now()
@@ -537,15 +517,7 @@ func runReplay(args []string) {
 			stats.Summarize([]exaclim.Field{f}))
 		fmt.Println(f.ASCIIMap(18, 72))
 		if *mapDir != "" {
-			if err := os.MkdirAll(*mapDir, 0o755); err != nil {
-				fatal(err)
-			}
-			p := filepath.Join(*mapDir, fmt.Sprintf("replay_m%d_s%d_t%d.pgm", m0, s0, *tShow))
-			lo, hi := f.MinMax()
-			if err := f.SavePGM(p, lo, hi); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", p)
+			writeMap(*mapDir, fmt.Sprintf("replay_m%d_s%d_t%d.pgm", m0, s0, *tShow), f)
 		}
 	}
 }
@@ -600,14 +572,7 @@ func runRetrain(args []string) {
 		annualRF = exaclim.Historical().Annual(*startYear-*lead, *lead+years+1)
 	}
 
-	cfg := exaclim.Config{
-		L: *l, P: *p, Variant: parseVariant(*variant), SenderConvert: true,
-		Workers: *workers,
-		Trend: exaclim.TrendOptions{
-			StepsPerYear: exaclim.DaysPerYear, K: 2,
-			RhoGrid: []float64{0.5, 0.85},
-		},
-	}
+	cfg := emulatorConfig(*l, *p, *variant, 1, *workers)
 	var model *exaclim.Model
 	trained := h.Members
 	start := time.Now()
@@ -674,23 +639,26 @@ func retrainPathwaySet(nScenarios int, rfFile, stabilize string, annualRF []floa
 		}
 		return set
 	}
-	pathways := []exaclim.Pathway{{Name: "training-forcing", Annual: annualRF}}
-	if stabilize != "" {
-		stabStart, stabPPM, stabEfold := parseStabilize(stabilize)
-		sc := exaclim.Stabilization(stabStart, stabPPM, stabEfold)
-		pathways = append(pathways, exaclim.Pathway{
-			Name: sc.Name, Annual: sc.Annual(startYear-lead, len(annualRF)),
-		})
-	}
-	if len(pathways) != nScenarios {
+	set := campaignPathways(annualRF, startYear, lead, stabilize)
+	if set.Len() != nScenarios {
 		fatal(fmt.Errorf("have %d forcing pathways for %d archived scenarios; pass -rf-file (see archive -rf-out) or -stabilize",
-			len(pathways), nScenarios))
-	}
-	set, err := exaclim.NewPathwaySet(pathways...)
-	if err != nil {
-		fatal(err)
+			set.Len(), nScenarios))
 	}
 	return set
+}
+
+// writeMap saves f as a PGM map named name in dir, scaled to f's own
+// range.
+func writeMap(dir, name string, f exaclim.Field) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		fatal(err)
+	}
+	path := filepath.Join(dir, name)
+	lo, hi := f.MinMax()
+	if err := f.SavePGM(path, lo, hi); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("wrote %s\n", path)
 }
 
 // saveModel serializes a trained model to path, exiting on failure.

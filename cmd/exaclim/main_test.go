@@ -1,7 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"exaclim"
 )
 
 // The CLI's end-to-end test: build the real binary once, then run the
@@ -157,10 +164,15 @@ func TestCLIMultiScenario(t *testing.T) {
 	expect(t, "retrain all", out, "all 2 scenarios", "[training-forcing stabilization]",
 		"retrained: covariance 36x36", "emulated 5 steps")
 
-	// Reconstructing the pathways from flags (no sidecar) works too.
+	// Reconstructing the pathways from flags (no sidecar) rebuilds the
+	// sidecar's set, so it fits the same model.
+	rebuilt := filepath.Join(dir, "rebuilt.gob")
 	out = run(t, bin, "retrain", "-archive", arch, "-scenarios", "all",
-		"-stabilize", "2030:450:40", "-L", "6", "-P", "1")
+		"-stabilize", "2030:450:40", "-L", "6", "-P", "1", "-save", rebuilt)
 	expect(t, "retrain reconstructed", out, "all 2 scenarios", "retrained: covariance 36x36")
+	if a, b := modelDigest(t, refit), modelDigest(t, rebuilt); a != b {
+		t.Fatalf("retrain -rf-file model %s != retrain -stabilize model %s", a, b)
+	}
 
 	// Serve what-if scenarios: the sidecar's pathways become live
 	// scenarios 2 and 3 (after the archive's 0 and 1), emulated under
@@ -177,6 +189,95 @@ func TestCLIMultiScenario(t *testing.T) {
 		t.Fatalf("/v1/info live_pathways %q, want training-forcing,stabilization", got)
 	}
 	stopServe(t, base, stop, "loaded 2 what-if pathways", "2 live")
+}
+
+// TestCLIRecipeDigestAcrossCommits pins the CLI's one training recipe
+// (the synthetic training member, its forcing horizon and the emulator
+// Config) on both paths that train it: the root command, at one and at
+// two steps per day, and a campaign trained from flags, through the
+// coefficients it archives. The digests were recorded when each
+// subcommand still built its own recipe, so any change to the recipe's
+// bits fails here. Training reductions fan out over GOMAXPROCS spans,
+// so the binary runs at a fixed GOMAXPROCS.
+func TestCLIRecipeDigestAcrossCommits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the CLI")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	t.Setenv("GOMAXPROCS", "2")
+	for _, c := range []struct {
+		stepsPerDay, want string
+	}{
+		{"1", "4215064b7b51f3e657bd5988f0203885f4117427a39b2119f678205d8de5532e"},
+		{"2", "e909599b192ec563679437a02ffeef8d639d25966028260ae8784db4558f82e8"},
+	} {
+		model := filepath.Join(dir, "model"+c.stepsPerDay+".gob")
+		run(t, bin, "-gridL", "8", "-L", "6", "-years", "1", "-P", "1", "-emulate", "0",
+			"-stepsPerDay", c.stepsPerDay, "-save", model)
+		if got := modelDigest(t, model); got != c.want {
+			t.Errorf("root command at -stepsPerDay %s: model digest %s, want %s", c.stepsPerDay, got, c.want)
+		}
+	}
+	arch := filepath.Join(dir, "campaign.exa")
+	run(t, bin, "archive", "-gridL", "8", "-L", "6", "-years", "1", "-P", "1", "-members", "2",
+		"-steps", "400", "-t0", "10", "-stabilize", "2030:450:40", "-out", arch)
+	const want = "d4d7704e138b5976c394154ff68d12d74f84396bc726e62128b9950a3b2e9d28"
+	if got := archiveDigest(t, arch); got != want {
+		t.Errorf("archive trained from flags: coefficient digest %s, want %s", got, want)
+	}
+}
+
+// modelDigest is the sha256 of the model saved at path, re-encoded with
+// its one wall-clock diagnostic (FactorSeconds) zeroed.
+func modelDigest(t *testing.T, path string) string {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	m, err := exaclim.LoadModel(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Diag.FactorSeconds = 0
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// archiveDigest is the sha256 of every decoded coefficient of the
+// archive at path, scenario-, member- then step-major. File bytes are
+// no pin: chunks land in the order the member goroutines finish.
+func archiveDigest(t *testing.T, path string) string {
+	t.Helper()
+	r, err := exaclim.OpenArchive(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	h := r.Header()
+	sum := sha256.New()
+	var packed []float64
+	var word []byte
+	for s := 0; s < h.Scenarios; s++ {
+		for m := 0; m < h.Members; m++ {
+			for step := 0; step < h.Steps; step++ {
+				if packed, err = r.ReadPacked(m, s, step, packed); err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range packed {
+					word = binary.LittleEndian.AppendUint64(word[:0], math.Float64bits(v))
+					sum.Write(word)
+				}
+			}
+		}
+	}
+	return hex.EncodeToString(sum.Sum(nil))
 }
 
 // TestCLIErrors pins the failure surface: bad inputs exit nonzero with

@@ -191,8 +191,7 @@ type (
 	// whichever server read through it.
 	ServeArchiveStats = serve.ArchiveStats
 	// MetricsRegistry is the dependency-free metrics registry behind the
-	// server's /metrics endpoint; Server.Metrics returns the server's,
-	// and NewMetricsRegistry builds a standalone one.
+	// server's /metrics endpoint; Server.Metrics returns the server's.
 	MetricsRegistry = obs.Registry
 	// QueryBox is a geographic lat/lon box (degrees; longitudes wrap).
 	QueryBox = serve.Box
@@ -216,9 +215,6 @@ const (
 // DaysPerYear matches the paper's no-leap calendar.
 const DaysPerYear = era5.DaysPerYear
 
-// NewGrid returns an NLat x NLon grid.
-func NewGrid(nlat, nlon int) Grid { return sphere.NewGrid(nlat, nlon) }
-
 // GridForBandLimit returns the smallest grid supporting the exact SHT at
 // band limit L.
 func GridForBandLimit(L int) Grid { return sphere.GridForBandLimit(L) }
@@ -240,15 +236,6 @@ func Train(ensemble [][]Field, annualRF []float64, lead int, cfg Config) (*Model
 // (up to the timing diagnostic).
 func TrainFrom(src FieldSource, annualRF []float64, lead int, cfg Config) (*Model, error) {
 	return emulator.TrainFrom(src, annualRF, lead, cfg)
-}
-
-// TrainFromSet fits an emulator from a streaming field source whose
-// realizations may be driven by different forcing scenarios: each
-// realization's scenario label keys it to a pathway of the set by name,
-// so one fit spans mixed historical + projection members. With a
-// single-pathway set it is byte-identical to TrainFrom.
-func TrainFromSet(src FieldSource, set PathwaySet, lead int, cfg Config) (*Model, error) {
-	return emulator.TrainFromSet(src, set, lead, cfg)
 }
 
 // TrainFromArchive re-fits an emulator directly from the members of one
@@ -280,35 +267,6 @@ func TrainFromArchiveAll(r *ArchiveReader, set PathwaySet, lead int, cfg Config)
 // source (all members equal length, one shared grid).
 func SourceFromSlices(ens [][]Field) (FieldSource, error) { return source.FromSlices(ens) }
 
-// SourceFromArchive exposes the members of scenario `scenario` of an
-// opened archive as a streaming field source for TrainFrom.
-func SourceFromArchive(r *ArchiveReader, scenario int) (FieldSource, error) {
-	return source.FromArchive(r, scenario)
-}
-
-// SourceFromArchiveAll exposes every (member, scenario) series of an
-// opened archive as one streaming field source of Members x Scenarios
-// realizations for TrainFromSet; names optionally labels the archived
-// scenarios in index order (nil uses "scenario-<i>").
-func SourceFromArchiveAll(r *ArchiveReader, names []string) (FieldSource, error) {
-	return source.FromArchiveAll(r, names)
-}
-
-// SourceWithScenarios wraps a field source so realization r carries
-// scenario label labels[r] — the way an in-memory ensemble declares
-// which forcing pathway each member was simulated under before a
-// multi-scenario TrainFromSet fit.
-func SourceWithScenarios(src FieldSource, labels []string) (FieldSource, error) {
-	return source.WithScenarios(src, labels)
-}
-
-// SourceFromSynthetic wraps `members` synthetic-ERA5 generators derived
-// from cfg (member r uses cfg.Member + r) as a streaming field source of
-// `steps` steps each; fields match NewSynthetic(cfg).Run bitwise.
-func SourceFromSynthetic(cfg SyntheticConfig, members, steps int) (FieldSource, error) {
-	return source.FromSynthetic(cfg, members, steps)
-}
-
 // LoadModel deserializes a model saved with Model.Save.
 func LoadModel(r io.Reader) (*Model, error) { return emulator.Load(r) }
 
@@ -338,17 +296,10 @@ func Stabilization(startYear, targetPPM, efold float64) Scenario {
 // non-empty annual series).
 func NewPathwaySet(pathways ...Pathway) (PathwaySet, error) { return forcing.NewSet(pathways...) }
 
-// SinglePathway wraps one annual series as a one-pathway set (empty
-// name defaults to "training").
-func SinglePathway(name string, annual []float64) PathwaySet { return forcing.Single(name, annual) }
-
 // LoadPathwaySet reads a JSON pathway file:
 //
 //	{"pathways": [{"name": "ssp585", "annual": [2.1, 2.2, ...]}, ...]}
 func LoadPathwaySet(path string) (PathwaySet, error) { return forcing.LoadSet(path) }
-
-// ParsePathwaySet decodes the JSON pathway-file format from memory.
-func ParsePathwaySet(data []byte) (PathwaySet, error) { return forcing.ParseSet(data) }
 
 // DefaultArchivePolicy returns the archive quantization default (0.01%
 // relative reconstruction error, planned at half budget).
@@ -384,18 +335,6 @@ func NewArchiveReader(r io.ReaderAt, size int64) (*ArchiveReader, error) {
 func NewServer(r *ArchiveReader, model *Model, cfg ServeConfig) (*Server, error) {
 	return serve.New(r, model, cfg)
 }
-
-// NewMetricsRegistry builds an empty metrics registry — counters,
-// gauges and fixed-bucket histograms with Prometheus text exposition —
-// for callers instrumenting their own pipelines alongside the server's.
-func NewMetricsRegistry() *MetricsRegistry {
-	return obs.NewRegistry()
-}
-
-// EvalPoint evaluates coefficients c at a single (colatitude theta,
-// longitude phi) without synthesizing a grid. For a time series at one
-// location, Server.PointSeries evaluates many steps per product.
-func EvalPoint(c Coeffs, theta, phi float64) float64 { return sht.EvalPoint(c, theta, phi) }
 
 // MeasuredStorageReport compares the measured byte size of an archive
 // against the raw grid series it replaces (rawBytesPerValue is 4 for the

@@ -6,10 +6,10 @@ import (
 	"exaclim/internal/tile"
 )
 
-// TestReaderSinkCounts pins the reader's read counts for a known
+// TestReaderCounts pins the reader's read counts for a known
 // access pattern: the test header has 7 steps in chunks of 3, so one
 // sequential pass over a series crosses three chunks.
-func TestReaderSinkCounts(t *testing.T) {
+func TestReaderCounts(t *testing.T) {
 	r, h, _ := openTestArchive(t, 8, UniformBands(8, tile.FP64))
 	before := r.Counts()
 	for tt := 0; tt < h.Steps; tt++ {

@@ -235,11 +235,11 @@ func TestReaderConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestWithSeriesParksUnobservedCursor pins the parked cursor's hygiene:
+// TestWithSeriesParksBorrowedCursor pins the parked cursor's hygiene:
 // a borrower attributes its own reads by the difference of the cursor's
 // counts, the cursor parked is the one borrowed, chunk buffer included,
 // and the next read runs on it.
-func TestWithSeriesParksUnobservedCursor(t *testing.T) {
+func TestWithSeriesParksBorrowedCursor(t *testing.T) {
 	r, h, data := openTestArchive(t, 8, UniformBands(8, tile.FP64))
 	var borrowed *Series
 	var walk Counts

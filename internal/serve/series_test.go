@@ -251,14 +251,14 @@ func TestSeriesBlocksAcrossChunkSeams(t *testing.T) {
 	}
 }
 
-// TestSeriesCursorUnhookedAfterRequest pins a traced series request's
+// TestSeriesDecodeSpanCountsOwnWalk pins a traced series request's
 // decode-span attribution on the series' parked cursor: the span carries
 // the request's own walk — t1-t0 decodes and a chunk read — also after
 // untraced series and per-step reads on the same (member, scenario) have
 // borrowed that cursor from other goroutines in between. Under -race, a
 // hand-over through the parking slot that is not synchronized is
 // reported.
-func TestSeriesCursorUnhookedAfterRequest(t *testing.T) {
+func TestSeriesDecodeSpanCountsOwnWalk(t *testing.T) {
 	s, r := testServer(t)
 	const member, scenario, t0, t1 = 1, 1, 2, 37
 	decodeAttrs := func() map[string]any {

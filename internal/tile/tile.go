@@ -246,45 +246,6 @@ func ThreeLevelMap(dpBand, spBand int) PrecisionMap {
 	}
 }
 
-// AdaptiveMap chooses each tile's precision from its magnitude relative
-// to the largest tile: tiles whose max-norm falls below relTolSP (resp.
-// relTolHP) of the global max are demoted to SP (resp. HP). This is the
-// tile-centric, data-driven policy of [47] applied to the covariance
-// structure: weakly correlated (small) tiles tolerate low precision.
-func AdaptiveMap(a *linalg.Matrix, b int, relTolSP, relTolHP float64) PrecisionMap {
-	nt := (a.Rows + b - 1) / b
-	norms := make([][]float64, nt)
-	global := 0.0
-	for i := 0; i < nt; i++ {
-		norms[i] = make([]float64, i+1)
-		for j := 0; j <= i; j++ {
-			worst := 0.0
-			for r := i * b; r < min((i+1)*b, a.Rows); r++ {
-				for c := j * b; c < min((j+1)*b, a.Cols); c++ {
-					if v := math.Abs(a.At(r, c)); v > worst {
-						worst = v
-					}
-				}
-			}
-			norms[i][j] = worst
-			if worst > global {
-				global = worst
-			}
-		}
-	}
-	return func(i, j int) Precision {
-		rel := norms[i][j] / global
-		switch {
-		case rel >= relTolSP:
-			return FP64
-		case rel >= relTolHP:
-			return FP32
-		default:
-			return FP16
-		}
-	}
-}
-
 // Variant names the paper's four benchmark precision configurations.
 type Variant int
 
@@ -433,8 +394,8 @@ func (s *SymmMatrix) CountByPrecision() map[Precision]int {
 }
 
 // CountMap tallies tiles per precision for a precision map without
-// materializing a matrix; used by the cluster performance model at
-// paper-scale dimensions (nt in the thousands).
+// materializing a matrix, so a map can be counted at dimensions too
+// large to allocate (nt in the thousands).
 func CountMap(nt int, pm PrecisionMap) map[Precision]int64 {
 	out := make(map[Precision]int64)
 	for i := 0; i < nt; i++ {

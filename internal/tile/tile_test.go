@@ -184,30 +184,6 @@ func TestSymmMatrixBytes(t *testing.T) {
 	}
 }
 
-func TestAdaptiveMapDemotesWeakTiles(t *testing.T) {
-	// Exponential covariance: diagonal tiles are strong, far tiles decay.
-	a := linalg.ExpCovariance(128, 4.0)
-	pm := AdaptiveMap(a, 32, 0.5, 1e-3)
-	if pm(0, 0) != FP64 || pm(3, 3) != FP64 {
-		t.Error("diagonal tiles should stay DP")
-	}
-	if pm(3, 0) == FP64 {
-		t.Error("far off-diagonal tile of a fast-decaying covariance should be demoted")
-	}
-	// Monotone: tiles cannot gain precision moving away from the diagonal
-	// for this monotone covariance.
-	for i := 1; i < 4; i++ {
-		prev := pm(i, i)
-		for j := i - 1; j >= 0; j-- {
-			cur := pm(i, j)
-			if cur < prev { // Precision enum grows as precision drops
-				t.Errorf("precision increased away from diagonal at (%d,%d)", i, j)
-			}
-			prev = cur
-		}
-	}
-}
-
 func TestNewSymmMatrixRejectsBadTiling(t *testing.T) {
 	defer func() {
 		if recover() == nil {
